@@ -205,16 +205,14 @@ def cmd_disentangle(args) -> int:
         return EXIT_FAIL
 
     out = _header("disentangle", doc, hbar, args.tol)
-    out["quantum_condition"] = _report_dict(quantum_condition_check(cov, args.tol))
-    out["symplectic_eigenvalues"] = vector_to_list(symplectic_eigenvalues(cov))
+    out["quantum_condition"] = _report_dict(result.quantum_condition)
+    out["symplectic_eigenvalues"] = vector_to_list(result.symplectic_eigenvalues)
     out["lambdas"] = vector_to_list(result.lambdas)
     out["U"] = matrix_to_lists(result.U)
     out["sigma_U"] = matrix_to_lists(result.sigma_U.sigma)
     out["sigma_A"] = matrix_to_lists(result.witness.sigma_a)
     out["sigma_B"] = matrix_to_lists(result.witness.sigma_b)
-    out["werner_wolf"] = _report_dict(
-        werner_wolf_check(result.sigma_U, result.witness, args.tol)
-    )
+    out["werner_wolf"] = _report_dict(result.werner_wolf)
     out["ppt"] = _report_dict(ppt_test(cov, args.tol))
     out["residuals"] = {k: float(v) for k, v in result.residuals.items()}
     out["verdict"] = "pass"

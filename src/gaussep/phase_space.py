@@ -12,10 +12,10 @@ and the remaining ``n_B`` modes splits J as ``J_A (+) J_B`` literally.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .checks import DEFAULT_TOL, CheckReport, fro, margin_report
 
@@ -72,15 +72,29 @@ def _require_even_square(matrix: np.ndarray) -> int:
     return matrix.shape[0] // 2
 
 
+@functools.lru_cache(maxsize=64)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form for n modes in interleaved ordering."""
+    """Standard symplectic form for n modes in interleaved ordering.
+
+    The array is built once per mode count and shared by every caller, so it
+    is read-only: copy it before writing to it (``build_J`` returns a copy).
+    """
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    return scipy.linalg.block_diag(*([J2] * n_modes))
+    # filled rather than np.kron(I, J2), which writes -0.0 off the diagonal blocks
+    J = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    J[x, x + 1] = 1.0
+    J[x + 1, x] = -1.0
+    J.setflags(write=False)
+    return J
 
 
 def build_J(partition: ModePartition, ordering: Ordering = Ordering.INTERLEAVED) -> np.ndarray:
-    """Symplectic form J = J_A (+) J_B of a bipartite system, entries 0 and +-1."""
+    """Symplectic form J = J_A (+) J_B of a bipartite system, entries 0 and +-1.
+
+    Unlike ``symplectic_form`` the result is a fresh, writable array.
+    """
     J = symplectic_form(partition.n)
     return convert_ordering(J, Ordering.INTERLEAVED, ordering)
 
@@ -125,9 +139,12 @@ def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     """Block-diagonal embedding with the A block in the leading rows/columns."""
     block_a = np.asarray(block_a, dtype=float)
     block_b = np.asarray(block_b, dtype=float)
-    _require_even_square(block_a)
-    _require_even_square(block_b)
-    return scipy.linalg.block_diag(block_a, block_b)
+    dim_a = 2 * _require_even_square(block_a)
+    dim_b = 2 * _require_even_square(block_b)
+    out = np.zeros((dim_a + dim_b, dim_a + dim_b))
+    out[:dim_a, :dim_a] = block_a
+    out[dim_a:, dim_a:] = block_b
+    return out
 
 
 def is_symplectic(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:

@@ -30,6 +30,7 @@ from .phase_space import _require_even_square, direct_sum, symplectic_form
 from .spectral import (
     CovarianceMatrix,
     QuantumConditionError,
+    _quantum_condition,
     quantum_condition_check,
     williamson,
 )
@@ -65,13 +66,21 @@ class SeparabilityWitness:
 
 @dataclass(frozen=True, eq=False)
 class DisentangleResult:
-    """Rotation U, rotated covariance, witness, mode stretches, and all margins."""
+    """Rotation U, rotated covariance, witness, mode stretches, and all margins.
+
+    The reports the pipeline computed on the way are kept as well:
+    ``quantum_condition`` for the input, its ``symplectic_eigenvalues``
+    (descending) and ``werner_wolf`` for ``witness`` against ``sigma_U``.
+    """
 
     U: np.ndarray
     sigma_U: CovarianceMatrix
     witness: SeparabilityWitness
     lambdas: np.ndarray
     residuals: dict[str, float]
+    quantum_condition: CheckReport
+    symplectic_eigenvalues: np.ndarray
+    werner_wolf: CheckReport
 
 
 def werner_wolf_check(
@@ -131,7 +140,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
         A downstream stage failed its tolerance; the message names the stage.
     """
     cov = cov.as_interleaved()
-    report = quantum_condition_check(cov, tol)
+    report, nu = _quantum_condition(cov, tol)
     if not report.passed:
         raise QuantumConditionError(
             f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})"
@@ -179,7 +188,14 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
         "werner_wolf_margin": ww.margin,
     }
     return DisentangleResult(
-        U=U, sigma_U=sigma_U, witness=witness, lambdas=lam, residuals=residuals
+        U=U,
+        sigma_U=sigma_U,
+        witness=witness,
+        lambdas=lam,
+        residuals=residuals,
+        quantum_condition=report,
+        symplectic_eigenvalues=nu,
+        werner_wolf=ww,
     )
 
 

@@ -32,6 +32,7 @@ from .phase_space import (
     Ordering,
     _require_even_square,
     convert_ordering,
+    is_symplectic,
     symplectic_form,
 )
 
@@ -110,11 +111,11 @@ class WilliamsonForm:
         return np.diag(np.repeat(self.nu, 2))
 
 
-def _antisym_core(sigma: np.ndarray, n: int) -> np.ndarray:
-    """K = Sigma^(1/2) J Sigma^(1/2), antisymmetrized to kill roundoff drift."""
+def _antisym_core(sigma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma^(1/2) and K = Sigma^(1/2) J Sigma^(1/2), antisymmetrized to kill roundoff drift."""
     root = sym_sqrt(sigma)
     K = root @ symplectic_form(n) @ root
-    return 0.5 * (K - K.T)
+    return root, 0.5 * (K - K.T)
 
 
 def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
@@ -124,7 +125,7 @@ def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
     values list each nu_k twice; this avoids the non-normal product J Sigma.
     """
     n = _require_even_square(sigma)
-    K = _antisym_core(sigma, n)
+    _, K = _antisym_core(sigma, n)
     svals = np.linalg.svd(K, compute_uv=False)
     pair_gap = float(np.max(np.abs(svals[0::2] - svals[1::2])))
     if pair_gap > 1e-6 * max(1.0, float(svals[0])):
@@ -147,6 +148,11 @@ def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> 
     ``min_k nu_k >= hbar/2`` is computed as well; a sign disagreement well
     outside the noise band raises VerificationError.
     """
+    return _quantum_condition(cov, tol)[0]
+
+
+def _quantum_condition(cov: CovarianceMatrix, tol: float) -> tuple[CheckReport, np.ndarray]:
+    """``quantum_condition_check`` and the symplectic spectrum it computes on the way."""
     cov = cov.as_interleaved()
     J = symplectic_form(cov.n)
     margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
@@ -164,7 +170,7 @@ def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> 
         "nu_min": float(nu[-1]),
         "nu_min_gap": nu_gap,
     }
-    return margin_report(margin, scale, tol, residuals)
+    return margin_report(margin, scale, tol, residuals), nu
 
 
 def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonForm:
@@ -189,9 +195,7 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     cov = cov.as_interleaved()
     sigma = cov.sigma
     n = cov.n
-    root = sym_sqrt(sigma)
-    K = root @ symplectic_form(n) @ root
-    K = 0.5 * (K - K.T)
+    root, K = _antisym_core(sigma, n)
     T, Q = scipy.linalg.schur(K, output="real")
 
     cut = 1e-12 * max(1.0, fro(K))
@@ -222,9 +226,8 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     S = (root @ Q) / np.sqrt(np.repeat(nu, 2))[None, :]
 
     D = np.diag(np.repeat(nu, 2))
-    J = symplectic_form(n)
     recon = fro(S @ D @ S.T - sigma) / fro(sigma)
-    symp = fro(S.T @ J @ S - J) / max(1.0, fro(S) ** 2)
+    symp = is_symplectic(S, tol).residuals["symplectic"]
     residuals = {"reconstruction": recon, "symplectic": symp}
     if recon > tol or symp > tol:
         raise VerificationError(

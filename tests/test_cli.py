@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from gaussep import (
     CovarianceMatrix,
     ModePartition,
     SeparabilityWitness,
+    quantum_condition_check,
+    symplectic_eigenvalues,
     two_mode_squeezed_vacuum,
     werner_wolf_check,
 )
 from gaussep.cli import main
+from gaussep.documents import parse_input_document
 
 
 def run(capsys, *argv):
@@ -169,6 +173,21 @@ class TestDisentangle:
         check = werner_wolf_check(cov, witness, report["tolerance"])
         assert check.passed
         assert abs(check.margin - report["werner_wolf"]["margin"]) <= 1e-12
+
+    def test_reused_checks_match_independent_calls(self, tmp_path, capsys):
+        code, doc_text, _ = run(capsys, "random", "--nA", "2", "--nB", "2", "--seed", "11")
+        assert code == 0
+        code, out, _ = run(capsys, "disentangle", write_doc(tmp_path, "r.json", doc_text), "--json")
+        assert code == 0
+        report = json.loads(out)
+        cov = parse_input_document(doc_text).to_covariance()
+        sigma_U = CovarianceMatrix(np.array(report["sigma_U"]), cov.partition, cov.hbar)
+        witness = SeparabilityWitness(
+            np.array(report["sigma_A"]), np.array(report["sigma_B"]), cov.hbar
+        )
+        assert report["quantum_condition"] == asdict(quantum_condition_check(cov))
+        assert report["symplectic_eigenvalues"] == symplectic_eigenvalues(cov).tolist()
+        assert report["werner_wolf"] == asdict(werner_wolf_check(sigma_U, witness))
 
     def test_text_and_json_carry_identical_numerics(self, tmp_path, capsys):
         path = tmsv_doc(tmp_path)

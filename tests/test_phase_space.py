@@ -92,6 +92,52 @@ def test_convert_rejects_odd_dimension():
         convert_ordering(np.eye(3), Ordering.INTERLEAVED, Ordering.BLOCKED)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symplectic_form_is_direct_sum_of_mode_blocks(n):
+    expected = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        expected[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = J2
+    J = symplectic_form(n)
+    assert np.array_equal(J, expected)
+    assert not np.signbit(J[J == 0.0]).any()
+
+
+def test_symplectic_form_is_shared_and_read_only():
+    J = symplectic_form(3)
+    assert symplectic_form(3) is J
+    with pytest.raises(ValueError):
+        J[0, 1] = 2.0
+    assert J[0, 1] == 1.0
+
+
+def test_symplectic_form_rejects_zero_modes_and_recovers():
+    with pytest.raises(ValueError):
+        symplectic_form(0)
+    assert np.array_equal(symplectic_form(1), J2)
+
+
+def test_build_J_returns_writable_copy():
+    partition = ModePartition(1, 2)
+    for ordering in Ordering:
+        J = build_J(partition, ordering)
+        J[0, 0] = 5.0
+        assert symplectic_form(3)[0, 0] == 0.0
+
+
+def test_direct_sum_of_unequal_blocks():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2, 2))
+    B = rng.standard_normal((6, 6))
+    expected = np.zeros((8, 8))
+    expected[:2, :2] = A
+    expected[2:, 2:] = B
+    assert np.array_equal(direct_sum(A, B), expected)
+    expected = np.zeros((8, 8))
+    expected[:6, :6] = B
+    expected[6:, 6:] = A
+    assert np.array_equal(direct_sum(B, A), expected)
+
+
 def test_direct_sum_examples():
     assert np.array_equal(direct_sum(np.eye(2), np.eye(2)), np.eye(4))
     assert np.array_equal(direct_sum(symplectic_form(1), symplectic_form(1)), symplectic_form(2))
