@@ -37,13 +37,7 @@ from .phase_space import (
     is_symplectic,
 )
 from .separability import SeparabilityWitness, disentangle, ppt_test, werner_wolf_check
-from .spectral import (
-    CovarianceMatrix,
-    QuantumConditionError,
-    quantum_condition_check,
-    symplectic_eigenvalues,
-    williamson,
-)
+from .spectral import CovarianceMatrix, QuantumConditionError, _quantum_condition, williamson
 from .states import random_covariance
 
 EXIT_OK = 0
@@ -179,8 +173,7 @@ def cmd_validate(args) -> int:
     doc = _load_document(args)
     hbar = _resolve_hbar(doc, args)
     cov = doc.to_covariance(hbar)
-    report = quantum_condition_check(cov, args.tol)
-    nu = symplectic_eigenvalues(cov)
+    report, nu, _ = _quantum_condition(cov, args.tol)
     out = _header("validate", doc, hbar, args.tol)
     out["quantum_condition"] = _report_dict(report)
     out["symplectic_eigenvalues"] = vector_to_list(nu)
@@ -198,7 +191,7 @@ def cmd_disentangle(args) -> int:
     except QuantumConditionError as exc:
         # no partial witness: report the failing quantum condition only
         out = _header("disentangle", doc, hbar, args.tol)
-        out["quantum_condition"] = _report_dict(quantum_condition_check(cov, args.tol))
+        out["quantum_condition"] = _report_dict(exc.report)
         out["verdict"] = "fail"
         _print_report(out, args)
         _warn(str(exc))

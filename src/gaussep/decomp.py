@@ -86,34 +86,41 @@ def reconstruct(U: np.ndarray, lambdas) -> np.ndarray:
     return U.T @ delta @ U
 
 
+def _left_polar(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Positive factor P = (A A^T)^(1/2) from one SVD A = W diag(stretch) Zt.
+
+    Returns P = W diag(stretch) W^T (symmetrized, so exactly symmetric),
+    ``stretch`` (descending), W and Zt; the orthogonal factor is W Zt.
+    """
+    W, stretch, Zt = np.linalg.svd(A)
+    P = (W * stretch) @ W.T
+    return 0.5 * (P + P.T), stretch, W, Zt
+
+
 def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
     """Left polar decomposition S = P R of a symplectic matrix.
 
-    P = (S S^T)^(1/2) via a symmetric eigendecomposition, R = P^(-1) S.
-    The input is checked for symplecticity, and all factor properties
-    (factorization residual, P symplectic, R orthosymplectic) are verified.
+    Both factors come from one SVD S = W diag(sigma) Z^T: P = W diag(sigma) W^T
+    and R = W Z^T, so R is orthogonal by construction and kappa(S) is never
+    squared.  The input is checked for symplecticity, and all factor
+    properties (factorization residual, P symplectic, R orthosymplectic) are
+    verified.
     """
     S = np.asarray(S, dtype=float)
-    n = _require_even_square(S)
+    _require_even_square(S)
     in_rep = is_symplectic(S, tol)
     if not in_rep.passed:
         raise ValueError(
             f"input is not symplectic (residual {in_rep.residuals['symplectic']:.3e}, "
             f"tol {tol:.1e})"
         )
-    w, V = np.linalg.eigh(S @ S.T)
-    if w[0] <= 0.0:
-        raise ValueError("S S^T is not positive definite; input is singular")
-    root = np.sqrt(w)
-    P = (V * root) @ V.T
-    P = 0.5 * (P + P.T)
-    R = (V / root) @ V.T @ S
+    P, _, W, Zt = _left_polar(S)
+    R = W @ Zt
 
-    J = symplectic_form(n)
     r_rep = is_orthosymplectic(R, tol)
     residuals = {
         "factorization": fro(P @ R - S) / fro(S),
-        "P_symplectic": fro(P @ J @ P - J) / max(1.0, fro(P) ** 2),
+        "P_symplectic": is_symplectic(P, tol).residuals["symplectic"],
         "R_orthogonal": r_rep.residuals["orthogonal"],
         "R_symplectic": r_rep.residuals["symplectic"],
         "input_symplectic": in_rep.residuals["symplectic"],
@@ -162,7 +169,10 @@ def ortho_diagonalize(
     orthonormal eigenvectors for 1/lambda (from P J = J P^(-1)); (iv) the
     lambda = 1 class is peeled into (v, -Jv) planes; (v) U^T gets columns
     (v_1, w_1, v_2, w_2, ...) so Delta = (+) diag(lambda_k, 1/lambda_k);
-    (vi) modes are sorted by lambda descending; (vii) every
+    (vi) modes are sorted by lambda descending; (vii) U is replaced by its
+    orthogonal polar factor, which still commutes with J, so roundoff in
+    the eigenvectors of nearly reciprocal classes cannot take U out of
+    U(n); (viii) every
     RotationDiagonalization invariant is verified.
 
     Raises
@@ -176,7 +186,7 @@ def ortho_diagonalize(
         The assembled rotation fails its own invariants at ``tol``.
     """
     P = np.asarray(P, dtype=float)
-    n = _require_even_square(P)
+    _require_even_square(P)
     scale = max(1.0, fro(P))
     if fro(P - P.T) / scale > 1e-9:
         raise ValueError("input is not symmetric")
@@ -188,7 +198,24 @@ def ortho_diagonalize(
     w, V = np.linalg.eigh(0.5 * (P + P.T))
     if w[0] <= 0.0:
         raise ValueError("input is not positive definite")
+    rotation = _rotation_from_eigensystem(P, w, V, tol, pair_tol)
+    residuals = {**rotation.residuals, "input_symplectic": symp_rep.residuals["symplectic"]}
+    return RotationDiagonalization(U=rotation.U, lambdas=rotation.lambdas, residuals=residuals)
 
+
+def _rotation_from_eigensystem(
+    P: np.ndarray,
+    w: np.ndarray,
+    V: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    pair_tol: float = PAIR_TOL,
+) -> RotationDiagonalization:
+    """Steps (ii)-(viii) of ``ortho_diagonalize`` for a P whose eigensystem is known.
+
+    ``w`` holds the eigenvalues of P ascending and the columns of ``V`` the
+    matching orthonormal eigenvectors.
+    """
+    n = P.shape[0] // 2
     groups: list[list[int]] = [[0]]
     for i in range(1, 2 * n):
         if w[i] <= w[i - 1] * (1.0 + pair_tol):
@@ -234,7 +261,11 @@ def ortho_diagonalize(
         _, v, wv = modes[idx]
         basis[:, 2 * pos] = v
         basis[:, 2 * pos + 1] = wv
-    U = basis.T
+    # (v, -Jv) columns make the basis commute with J, and so does its orthogonal
+    # polar factor: snapping onto it restores the orthogonality that
+    # eigenvectors of nearly reciprocal classes lose, and keeps U in U(n)
+    left, _, right = np.linalg.svd(basis)
+    U = (left @ right).T
 
     rot_rep = is_orthosymplectic(U, tol)
     recon = fro(U.T @ delta_matrix(lam) @ U - P) / fro(P)
@@ -242,7 +273,6 @@ def ortho_diagonalize(
         "rotation_orthogonal": rot_rep.residuals["orthogonal"],
         "rotation_symplectic": rot_rep.residuals["symplectic"],
         "reconstruction": recon,
-        "input_symplectic": symp_rep.residuals["symplectic"],
     }
     if not rot_rep.passed or recon > tol or lam[-1] < 1.0 - 1e-12:
         raise VerificationError(f"rotation diagonalization verification failed: {residuals}")

@@ -8,6 +8,12 @@ the rotated matrix ``Sigma_U = U Sigma U^T`` admits such a witness: with
 P = (S S^T)^(1/2) for an admissible S and P = U^T Delta U, the blocks
 ``Sigma_A = (hbar/2) Delta_A^2`` and ``Sigma_B = (hbar/2) Delta_B^2`` are
 minimal-uncertainty squeezed covariances dominated by Sigma_U.
+
+P needs no S: every admissible S has
+``S S^T = Sigma^(1/2) |K|^(-1) Sigma^(1/2)`` with
+``K = Sigma^(1/2) J Sigma^(1/2)``, so with ``K = X s Y^T`` the matrix
+``M = Sigma^(1/2) Y s^(-1/2)`` has ``M M^T = S S^T`` and one SVD of M gives
+P together with its eigensystem.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ from .checks import (
     min_eig_hermitian,
     min_eig_symmetric,
 )
-from .decomp import PairingError, delta_blocks, delta_matrix, ortho_diagonalize, symplectic_polar
-from .phase_space import _require_even_square, direct_sum, symplectic_form
+from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks, delta_matrix
+from .phase_space import _require_even_square, direct_sum, is_symplectic, symplectic_form
 from .spectral import (
     CovarianceMatrix,
     QuantumConditionError,
     _quantum_condition,
     quantum_condition_check,
-    williamson,
+    williamson,  # noqa: F401  (unused here; bench/test_bench.py traces this binding)
 )
 
 
@@ -125,31 +131,42 @@ def werner_wolf_check(
 def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleResult:
     """Construct a symplectic rotation making the state certifiably separable.
 
-    Pipeline: Williamson S for Sigma, left polar S = P R, rotation
-    diagonalization P = U^T Delta U, rotated matrix Sigma_U = U Sigma U^T,
-    witness blocks (hbar/2) Delta_A^2 and (hbar/2) Delta_B^2.  Every stage
-    is verified: the squeeze bound (hbar/2) Delta^2 <= Sigma_U and the full
-    Werner-Wolf check must pass, and all margins are recorded.  The run is
-    deterministic: identical inputs produce identical outputs.
+    Pipeline: the quantum condition and the SVD ``K = X s Y^T`` of
+    ``K = Sigma^(1/2) J Sigma^(1/2)``; the positive factor
+    ``P = (S S^T)^(1/2) = W diag(sigma) W^T`` of every admissible S from the
+    SVD ``M = Sigma^(1/2) Y s^(-1/2) = W sigma Z^T``; rotation
+    diagonalization P = U^T Delta U from the eigensystem (sigma, W); rotated
+    matrix Sigma_U = U Sigma U^T; witness blocks (hbar/2) Delta_A^2 and
+    (hbar/2) Delta_B^2.  Every stage is verified: P must be symplectic, U
+    orthosymplectic with U^T Delta U = P, and the squeeze bound
+    (hbar/2) Delta^2 <= Sigma_U and the full Werner-Wolf check must pass;
+    all margins are recorded.  The run is deterministic: identical inputs
+    produce identical outputs.
 
     Raises
     ------
     QuantumConditionError
-        The input does not satisfy the quantum condition (not a state).
+        The input does not satisfy the quantum condition (not a state); the
+        error carries the failing report.
     VerificationError
         A downstream stage failed its tolerance; the message names the stage.
     """
     cov = cov.as_interleaved()
-    report, nu = _quantum_condition(cov, tol)
+    report, nu, (root, s, Yt) = _quantum_condition(cov, tol)
     if not report.passed:
         raise QuantumConditionError(
-            f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})"
+            f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})", report
+        )
+    # M = Sigma^(1/2) Y s^(-1/2) has M M^T = S S^T for every admissible S
+    P, stretch, W, _ = _left_polar((root @ Yt.T) / np.sqrt(s))
+    p_symplectic = is_symplectic(P, tol).residuals["symplectic"]
+    if p_symplectic > tol:
+        raise VerificationError(
+            f"positive factor P is not symplectic (residual {p_symplectic:.3e})"
         )
     try:
-        form = williamson(cov, tol)
-        polar = symplectic_polar(form.S, tol)
-        rotation = ortho_diagonalize(polar.P, tol)
-    except (PairingError, ValueError) as exc:
+        rotation = _rotation_from_eigensystem(P, stretch[::-1], W[:, ::-1], tol)
+    except ValueError as exc:
         # our own intermediates failed a precondition: that is a pipeline bug
         # or an input at the edge of conditioning, not a caller error
         raise VerificationError(f"disentangle pipeline stage failed: {exc}") from exc
@@ -176,11 +193,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
 
     residuals = {
         "quantum_condition_margin": report.margin,
-        "williamson_reconstruction": form.residuals["reconstruction"],
-        "williamson_symplectic": form.residuals["symplectic"],
-        "polar_factorization": polar.residuals["factorization"],
-        "polar_R_orthogonal": polar.residuals["R_orthogonal"],
-        "polar_R_symplectic": polar.residuals["R_symplectic"],
+        "P_symplectic": p_symplectic,
         "rotation_orthogonal": rotation.residuals["rotation_orthogonal"],
         "rotation_symplectic": rotation.residuals["rotation_symplectic"],
         "rotation_reconstruction": rotation.residuals["reconstruction"],

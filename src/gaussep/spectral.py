@@ -4,11 +4,14 @@ A real symmetric positive-definite matrix Sigma is the covariance matrix of
 a quantum state exactly when the Hermitian matrix ``Sigma + (i*hbar/2) J``
 is positive semidefinite, equivalently when every symplectic eigenvalue
 nu_k is at least hbar/2.  Both routes are computed here and cross-checked.
-The Williamson construction returns a symplectic S with
-``S D S^T = Sigma`` and ``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``; it is
-built from the real Schur form of the antisymmetric matrix
-``K = Sigma^(1/2) J Sigma^(1/2)`` so that only orthogonal transformations
-touch the data.
+Both rest on the antisymmetric core ``K = Sigma^(1/2) J Sigma^(1/2)``, whose
+singular values list each nu_k twice.  The Williamson construction returns
+a symplectic S with ``S D S^T = Sigma`` and
+``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``; it is built from the real Schur
+form of K so that only orthogonal transformations touch the data.
+
+scipy is imported only inside ``williamson``, which needs the real Schur
+form; everything else here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .checks import (
     DEFAULT_TOL,
@@ -41,7 +43,15 @@ SYMMETRY_TOL = 1e-9
 
 
 class QuantumConditionError(ValueError):
-    """The covariance matrix does not satisfy the quantum condition."""
+    """The covariance matrix does not satisfy the quantum condition.
+
+    ``report`` is the failing quantum-condition report when the raiser had
+    one, so callers can render it without recomputing it.
+    """
+
+    def __init__(self, message: str, report: CheckReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,26 +128,33 @@ def _antisym_core(sigma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return root, 0.5 * (K - K.T)
 
 
-def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a symmetric positive-definite matrix, descending.
+def _spectral_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sigma^(1/2) and the SVD ``K = X diag(s) Yt`` of K, without X.
 
-    The eigenvalues of the antisymmetric K are +-i*nu_k, so its singular
-    values list each nu_k twice; this avoids the non-normal product J Sigma.
+    The eigenvalues of the antisymmetric K are +-i*nu_k, so the descending
+    ``s`` lists each nu_k twice; this avoids the non-normal product J Sigma.
+    The vectors are always computed: LAPACK's singular values differ in the
+    last bits with and without them, and every route must report one spectrum.
     """
     n = _require_even_square(sigma)
-    _, K = _antisym_core(sigma, n)
-    svals = np.linalg.svd(K, compute_uv=False)
-    pair_gap = float(np.max(np.abs(svals[0::2] - svals[1::2])))
-    if pair_gap > 1e-6 * max(1.0, float(svals[0])):
+    root, K = _antisym_core(sigma, n)
+    _, s, Yt = np.linalg.svd(K)
+    return root, s, Yt
+
+
+def _paired_spectrum(s: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues, descending, from the paired singular values of K."""
+    pair_gap = float(np.max(np.abs(s[0::2] - s[1::2])))
+    if pair_gap > 1e-6 * max(1.0, float(s[0])):
         raise VerificationError(
             f"singular values of the antisymmetric core failed to pair (gap {pair_gap:.3e})"
         )
-    return 0.5 * (svals[0::2] + svals[1::2])
+    return 0.5 * (s[0::2] + s[1::2])
 
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of J Sigma, one per mode, sorted descending."""
-    return _symplectic_spectrum(cov.as_interleaved().sigma)
+    return _paired_spectrum(_spectral_core(cov.as_interleaved().sigma)[1])
 
 
 def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -151,12 +168,15 @@ def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> 
     return _quantum_condition(cov, tol)[0]
 
 
-def _quantum_condition(cov: CovarianceMatrix, tol: float) -> tuple[CheckReport, np.ndarray]:
-    """``quantum_condition_check`` and the symplectic spectrum it computes on the way."""
+def _quantum_condition(
+    cov: CovarianceMatrix, tol: float
+) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``quantum_condition_check``, and the spectrum and ``_spectral_core`` it computes."""
     cov = cov.as_interleaved()
     J = symplectic_form(cov.n)
     margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
-    nu = _symplectic_spectrum(cov.sigma)
+    core = _spectral_core(cov.sigma)
+    nu = _paired_spectrum(core[1])
     nu_gap = float(nu[-1] - 0.5 * cov.hbar)
     scale = cov.scale()
     band = 10.0 * max(tol, 1e-12) * scale
@@ -170,7 +190,7 @@ def _quantum_condition(cov: CovarianceMatrix, tol: float) -> tuple[CheckReport, 
         "nu_min": float(nu[-1]),
         "nu_min_gap": nu_gap,
     }
-    return margin_report(margin, scale, tol, residuals), nu
+    return margin_report(margin, scale, tol, residuals), nu, core
 
 
 def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonForm:
@@ -192,6 +212,8 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     VerificationError
         If a reconstruction or symplecticity residual exceeds ``tol``.
     """
+    import scipy.linalg  # here, so that importing gaussep does not load scipy
+
     cov = cov.as_interleaved()
     sigma = cov.sigma
     n = cov.n
@@ -250,7 +272,8 @@ def admissible_S(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise QuantumConditionError(
             f"no admissible symplectic matrix: quantum condition fails "
             f"(margin {report.margin:.3e}, nu_min {report.residuals['nu_min']:.6g}, "
-            f"hbar/2 = {0.5 * cov.hbar:.6g})"
+            f"hbar/2 = {0.5 * cov.hbar:.6g})",
+            report,
         )
     form = williamson(cov, tol)
     gram = form.S.T @ np.linalg.solve(cov.sigma, form.S)

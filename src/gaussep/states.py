@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .checks import DEFAULT_TOL
 from .decomp import delta_matrix
@@ -53,7 +52,7 @@ class GaussianState:
         report = quantum_condition_check(cov)
         if not report.passed:
             raise QuantumConditionError(
-                f"covariance matrix is not a quantum state (margin {report.margin:.3e})"
+                f"covariance matrix is not a quantum state (margin {report.margin:.3e})", report
             )
         mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
@@ -86,6 +85,8 @@ def wigner_eval(state: GaussianState, z) -> np.ndarray | float:
         raise ValueError(f"phase-space points must have trailing length {2 * state.n}")
     if not np.all(np.isfinite(z)):
         raise ValueError("phase-space point contains non-finite entries")
+    import scipy.linalg  # here, so that importing gaussep does not load scipy
+
     y = np.atleast_2d(z - state.mean)
     w = scipy.linalg.solve_triangular(
         state._cholesky, y.reshape(-1, 2 * state.n).T, lower=True

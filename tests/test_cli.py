@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussep
 from gaussep import (
     CovarianceMatrix,
     ModePartition,
@@ -75,6 +78,16 @@ class TestValidate:
         assert report["symplectic_eigenvalues"][-1] == pytest.approx(
             math.sqrt(0.125), abs=1e-12
         )
+
+    def test_report_matches_independent_calls(self, tmp_path, capsys):
+        code, doc_text, _ = run(capsys, "random", "--nA", "2", "--nB", "3", "--seed", "5")
+        assert code == 0
+        code, out, _ = run(capsys, "validate", write_doc(tmp_path, "r.json", doc_text), "--json")
+        assert code == 0
+        report = json.loads(out)
+        cov = parse_input_document(doc_text).to_covariance()
+        assert report["quantum_condition"] == asdict(quantum_condition_check(cov))
+        assert report["symplectic_eigenvalues"] == symplectic_eigenvalues(cov).tolist()
 
     def test_truncated_file_is_malformed(self, tmp_path, capsys):
         path = write_doc(tmp_path, "trunc.json", '{"n_A": 1, "n_B"')
@@ -188,6 +201,13 @@ class TestDisentangle:
         assert report["quantum_condition"] == asdict(quantum_condition_check(cov))
         assert report["symplectic_eigenvalues"] == symplectic_eigenvalues(cov).tolist()
         assert report["werner_wolf"] == asdict(werner_wolf_check(sigma_U, witness))
+
+    def test_failure_report_matches_independent_check(self, tmp_path, capsys):
+        path = bad_doc(tmp_path)
+        code, out, _ = run(capsys, "disentangle", path, "--json")
+        assert code == 1
+        cov = parse_input_document(open(path).read()).to_covariance()
+        assert json.loads(out)["quantum_condition"] == asdict(quantum_condition_check(cov))
 
     def test_text_and_json_carry_identical_numerics(self, tmp_path, capsys):
         path = tmsv_doc(tmp_path)
@@ -342,3 +362,51 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["verdict"] == "pass"
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, os, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from gaussep.cli import main
+
+work = sys.argv[1]
+doc = os.path.join(work, "doc.json")
+with open(doc, "w") as handle, contextlib.redirect_stdout(handle):
+    # squeezed, but mixed enough to pass the PPT test, so that every command exits 0
+    argv = ["random", "--nA", "2", "--nB", "2", "--seed", "3", "--squeeze", "0.3", "--mix", "2"]
+    assert main(argv) == 0
+shear = os.path.join(work, "shear.json")
+with open(shear, "w") as handle:
+    json.dump({"matrix": [[1.0, 1.0], [0.0, 1.0]]}, handle)
+for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc],
+             ["polar", shear], ["convert", doc, "--to", "blocked"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, (argv, code)
+print("ok")
+"""
+
+
+def _subprocess_env():
+    env = dict(os.environ)
+    src = str(Path(gaussep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    probe = "import sys, gaussep.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
