@@ -8,6 +8,8 @@ import numpy as np
 
 #: Default relative tolerance for all pass/fail gates.
 DEFAULT_TOL = 1e-10
+#: Largest ``relative_asymmetry`` of a matrix accepted as symmetric.
+SYMMETRY_TOL = 1e-9
 
 
 class VerificationError(RuntimeError):
@@ -52,6 +54,11 @@ def margin_report(margin, scale, tol, residuals=None, note=""):
 def fro(matrix) -> float:
     """Frobenius norm, the norm used by every residual in this package."""
     return float(np.linalg.norm(matrix))
+
+
+def relative_asymmetry(matrix) -> float:
+    """``||M - M^T|| / max(1, ||M||)``, which every symmetry gate compares to SYMMETRY_TOL."""
+    return fro(matrix - matrix.T) / max(1.0, fro(matrix))
 
 
 def min_eig_hermitian(real_part: np.ndarray, imag_part: np.ndarray) -> float:

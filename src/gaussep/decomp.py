@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import DEFAULT_TOL, VerificationError, fro
+from .checks import DEFAULT_TOL, SYMMETRY_TOL, VerificationError, fro, relative_asymmetry
 from .phase_space import (
     ModePartition,
+    _complex_frame,
     _require_even_square,
     is_orthosymplectic,
     is_symplectic,
@@ -130,33 +131,6 @@ def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
     return PolarForm(P=P, R=R, residuals=residuals)
 
 
-def _isotropic_pairs(basis: np.ndarray, J: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a J-invariant orthonormal basis into (v, -Jv) planes.
-
-    Used for the unit-eigenvalue class, where the companion trick gives no
-    new vectors; the subspace is peeled two dimensions at a time.
-    """
-    pairs = []
-    B = np.array(basis)
-    while B.shape[1] > 0:
-        v = B[:, 0]
-        v = v / np.linalg.norm(v)
-        w = -J @ v
-        w = w / np.linalg.norm(w)
-        pairs.append((v, w))
-        if B.shape[1] == 2:
-            break
-        C = B - np.outer(v, v @ B) - np.outer(w, w @ B)
-        u, s, _ = np.linalg.svd(C, full_matrices=False)
-        keep = s > 0.5
-        if int(keep.sum()) != B.shape[1] - 2:
-            raise PairingError(
-                "failed to peel a symplectic plane off the unit eigenvalue class"
-            )
-        B = u[:, keep]
-    return pairs
-
-
 def ortho_diagonalize(
     P: np.ndarray, tol: float = DEFAULT_TOL, pair_tol: float = PAIR_TOL
 ) -> RotationDiagonalization:
@@ -167,7 +141,8 @@ def ortho_diagonalize(
     tolerance ``pair_tol``; (iii) for each class with lambda > 1, companion
     vectors w = -J v of an orthonormal eigenbasis {v} are automatically
     orthonormal eigenvectors for 1/lambda (from P J = J P^(-1)); (iv) the
-    lambda = 1 class is peeled into (v, -Jv) planes; (v) U^T gets columns
+    lambda = 1 class is split into (v, -Jv) planes by the complex
+    eigenvectors of J restricted to it; (v) U^T gets columns
     (v_1, w_1, v_2, w_2, ...) so Delta = (+) diag(lambda_k, 1/lambda_k);
     (vi) modes are sorted by lambda descending; (vii) U is replaced by its
     orthogonal polar factor, which still commutes with J, so roundoff in
@@ -187,8 +162,7 @@ def ortho_diagonalize(
     """
     P = np.asarray(P, dtype=float)
     _require_even_square(P)
-    scale = max(1.0, fro(P))
-    if fro(P - P.T) / scale > 1e-9:
+    if relative_asymmetry(P) > SYMMETRY_TOL:
         raise ValueError("input is not symmetric")
     symp_rep = is_symplectic(P, tol)
     if not symp_rep.passed:
@@ -247,8 +221,13 @@ def _rotation_from_eigensystem(
         elif j == k:
             if len(groups[j]) % 2 != 0:
                 raise PairingError("unit eigenvalue class has odd dimension")
-            for v, wv in _isotropic_pairs(V[:, groups[j]], J):
-                modes.append((1.0, v, wv))
+            # an orthonormal frame of this J-invariant class that brings the
+            # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
+            B = V[:, groups[j]]
+            C = B.T @ J @ B
+            planes = B @ _complex_frame(0.5 * (C - C.T))[1]
+            for c in range(0, planes.shape[1], 2):
+                modes.append((1.0, planes[:, c], planes[:, c + 1]))
         # j < k: covered by the companions of its mirror class
     if len(modes) != n:
         raise PairingError(f"assembled {len(modes)} mode planes, expected {n}")

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import fro
+from .checks import SYMMETRY_TOL, relative_asymmetry
 from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
 from .spectral import CovarianceMatrix
 
-#: Asymmetry beyond this (relative) is a malformed document.
-INGEST_SYMMETRY_TOL = 1e-9
 #: Asymmetry beyond this (relative) is silently symmetrized but warned about.
 INGEST_WARN_TOL = 1e-12
 
@@ -101,7 +99,7 @@ def parse_input_document(text: str) -> InputDocument:
     """Parse and validate a covariance-matrix document.
 
     Raises DocumentError on any schema or consistency violation; an
-    asymmetry between INGEST_WARN_TOL and INGEST_SYMMETRY_TOL is repaired
+    asymmetry between INGEST_WARN_TOL and ``checks.SYMMETRY_TOL`` is repaired
     by symmetrization and reported in ``warnings``.
     """
     raw = _parse_json(text)
@@ -128,8 +126,8 @@ def parse_input_document(text: str) -> InputDocument:
         )
 
     warnings: list[str] = []
-    asym = fro(sigma - sigma.T) / max(1.0, fro(sigma))
-    if asym > INGEST_SYMMETRY_TOL:
+    asym = relative_asymmetry(sigma)
+    if asym > SYMMETRY_TOL:
         raise DocumentError(f"sigma is not symmetric (relative asymmetry {asym:.3e})")
     if asym > INGEST_WARN_TOL:
         warnings.append(f"sigma symmetrized on ingest (relative asymmetry {asym:.3e})")

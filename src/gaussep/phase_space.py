@@ -147,6 +147,24 @@ def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _complex_frame(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal Q with ``Q^T A Q = (+)_k mu_k J2`` for a real antisymmetric, nonsingular A.
+
+    Returns ``mu`` descending and Q.  The Hermitian ``iA`` has eigenvalues
+    +-mu_k; each eigenvector ``a + ib`` for +mu_k gives the columns
+    ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate belongs to -mu_k, so the real
+    and imaginary parts of the positive half are orthonormal after scaling,
+    degenerate mu_k included.
+    """
+    m = A.shape[0] // 2
+    w, Z = np.linalg.eigh(1j * A)
+    Z = np.sqrt(2.0) * Z[:, m:][:, ::-1]
+    Q = np.empty(A.shape)
+    Q[:, 0::2] = Z.real
+    Q[:, 1::2] = -Z.imag
+    return w[m:][::-1], Q
+
+
 def is_symplectic(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check S^T J S = J; the residual is relative to max(1, ||S||^2)."""
     matrix = np.asarray(matrix, dtype=float)

@@ -24,12 +24,13 @@ import numpy as np
 
 from .checks import (
     DEFAULT_TOL,
+    SYMMETRY_TOL,
     CheckReport,
     VerificationError,
-    fro,
     margin_report,
     min_eig_hermitian,
     min_eig_symmetric,
+    relative_asymmetry,
 )
 from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks, delta_matrix
 from .phase_space import _require_even_square, direct_sum, is_symplectic, symplectic_form
@@ -54,7 +55,7 @@ class SeparabilityWitness:
         for name, block in (("sigma_a", self.sigma_a), ("sigma_b", self.sigma_b)):
             block = np.array(block, dtype=float)
             _require_even_square(block)
-            if fro(block - block.T) / max(1.0, fro(block)) > 1e-9:
+            if relative_asymmetry(block) > SYMMETRY_TOL:
                 raise ValueError(f"{name} is not symmetric")
             block.setflags(write=False)
             object.__setattr__(self, name, block)

@@ -7,11 +7,9 @@ nu_k is at least hbar/2.  Both routes are computed here and cross-checked.
 Both rest on the antisymmetric core ``K = Sigma^(1/2) J Sigma^(1/2)``, whose
 singular values list each nu_k twice.  The Williamson construction returns
 a symplectic S with ``S D S^T = Sigma`` and
-``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``; it is built from the real Schur
-form of K so that only orthogonal transformations touch the data.
-
-scipy is imported only inside ``williamson``, which needs the real Schur
-form; everything else here runs on numpy alone.
+``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``; it is built from the eigenvectors
+of the Hermitian ``iK``, which give an orthogonal frame bringing K to its
+2x2 block form, so that only orthogonal transformations touch the data.
 """
 
 from __future__ import annotations
@@ -22,24 +20,24 @@ import numpy as np
 
 from .checks import (
     DEFAULT_TOL,
+    SYMMETRY_TOL,
     CheckReport,
     VerificationError,
     fro,
     margin_report,
     min_eig_hermitian,
+    relative_asymmetry,
     sym_sqrt,
 )
 from .phase_space import (
     ModePartition,
     Ordering,
+    _complex_frame,
     _require_even_square,
     convert_ordering,
     is_symplectic,
     symplectic_form,
 )
-
-#: Relative asymmetry allowed in a covariance matrix.
-SYMMETRY_TOL = 1e-9
 
 
 class QuantumConditionError(ValueError):
@@ -58,7 +56,7 @@ class QuantumConditionError(ValueError):
 class CovarianceMatrix:
     """Covariance matrix of an n-mode Gaussian state with its context.
 
-    ``sigma`` must be symmetric (within ``SYMMETRY_TOL`` relative) and
+    ``sigma`` must be symmetric (``checks.SYMMETRY_TOL``) and
     positive definite; the quantum condition is deliberately not part of
     the type so that non-quantum matrices (for example partial transposes)
     can still be represented.  ``hbar`` travels with the data because the
@@ -80,7 +78,7 @@ class CovarianceMatrix:
             )
         if not (self.hbar > 0):
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        asym = fro(sigma - sigma.T) / max(1.0, fro(sigma))
+        asym = relative_asymmetry(sigma)
         if asym > SYMMETRY_TOL:
             raise ValueError(f"sigma is not symmetric (relative asymmetry {asym:.3e})")
         if np.linalg.eigvalsh(0.5 * (sigma + sigma.T))[0] <= 0.0:
@@ -196,55 +194,30 @@ def _quantum_condition(
 def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonForm:
     """Williamson normal form of a positive-definite covariance matrix.
 
-    Algorithm: real Schur form of ``K = Sigma^(1/2) J Sigma^(1/2)``,
-    ``K = Q T Q^T`` with orthogonal Q and T block diagonal with 2x2
-    antisymmetric blocks; each block is canonicalized to
-    ``[[0, nu], [-nu, 0]]`` with nu > 0 by a column swap inside the pair,
-    modes are sorted by nu descending, and
-    ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both defining residuals are
-    verified before returning.
+    Algorithm: one Hermitian eigendecomposition of ``iK`` with
+    ``K = Sigma^(1/2) J Sigma^(1/2)``; its eigenvectors ``a + ib`` for the
+    positive eigenvalues nu_k (descending) give an orthogonal Q with
+    ``Q^T K Q = (+)_k [[0, nu_k], [-nu_k, 0]]`` (columns ``sqrt(2) a`` and
+    ``-sqrt(2) b``), and ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both
+    defining residuals are verified before returning.
 
     Raises
     ------
     ValueError
-        If sigma is not positive definite, or the Schur form cannot be
-        canonicalized into 2x2 blocks (numerically defective input).
+        If sigma is not positive definite, or roundoff leaves a symplectic
+        eigenvalue at or below zero (a spectrum too wide for float64).
     VerificationError
         If a reconstruction or symplecticity residual exceeds ``tol``.
     """
-    import scipy.linalg  # here, so that importing gaussep does not load scipy
-
     cov = cov.as_interleaved()
     sigma = cov.sigma
-    n = cov.n
-    root, K = _antisym_core(sigma, n)
-    T, Q = scipy.linalg.schur(K, output="real")
-
-    cut = 1e-12 * max(1.0, fro(K))
-    nu = np.empty(n)
-    block = 0
-    i = 0
-    while i < 2 * n:
-        if i + 1 >= 2 * n or abs(T[i + 1, i]) <= cut:
-            raise ValueError(
-                "Schur canonicalization failure: the antisymmetric core has a "
-                "(near-)real eigenvalue, the input is numerically defective"
-            )
-        val = 0.5 * (T[i, i + 1] - T[i + 1, i])
-        if val < 0.0:
-            Q[:, [i, i + 1]] = Q[:, [i + 1, i]]
-            val = -val
-        nu[block] = val
-        block += 1
-        i += 2
-
-    order = np.argsort(-nu, kind="stable")
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    Q = Q[:, cols]
-    nu = nu[order]
-
+    root, K = _antisym_core(sigma, cov.n)
+    nu, Q = _complex_frame(K)
+    if nu[-1] <= 0.0:
+        raise ValueError(
+            f"the symplectic spectrum is too wide for float64: its smallest value "
+            f"comes out as {nu[-1]:.3e}"
+        )
     S = (root @ Q) / np.sqrt(np.repeat(nu, 2))[None, :]
 
     D = np.diag(np.repeat(nu, 2))

@@ -67,6 +67,11 @@ class GaussianState:
         return np.linalg.cholesky(self.cov.sigma)
 
     @cached_property
+    def _whitener(self) -> np.ndarray:
+        # L^(-1) for Sigma = L L^T, so |L^(-1) y|^2 = y^T Sigma^(-1) y
+        return np.linalg.inv(self._cholesky)
+
+    @cached_property
     def _log_norm(self) -> float:
         # log of (2 pi)^(-n) det(Sigma)^(-1/2)
         return -self.n * math.log(2.0 * math.pi) - float(
@@ -78,19 +83,15 @@ def wigner_eval(state: GaussianState, z) -> np.ndarray | float:
     """Wigner density (2 pi)^(-n) det(Sigma)^(-1/2) exp(-(z-m)^T Sigma^(-1) (z-m) / 2).
 
     Accepts a single phase-space point of shape (2n,) or a batch with
-    trailing axis 2n; the Cholesky factor of Sigma is cached on the state.
+    trailing axis 2n; the inverse Cholesky factor of Sigma is cached on the state.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (2 * state.n,):
         raise ValueError(f"phase-space points must have trailing length {2 * state.n}")
     if not np.all(np.isfinite(z)):
         raise ValueError("phase-space point contains non-finite entries")
-    import scipy.linalg  # here, so that importing gaussep does not load scipy
-
     y = np.atleast_2d(z - state.mean)
-    w = scipy.linalg.solve_triangular(
-        state._cholesky, y.reshape(-1, 2 * state.n).T, lower=True
-    )
+    w = state._whitener @ y.reshape(-1, 2 * state.n).T
     quad = np.sum(w * w, axis=0)
     values = np.exp(state._log_norm - 0.5 * quad)
     if z.ndim == 1:

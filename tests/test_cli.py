@@ -367,6 +367,10 @@ def test_console_entry_point_subprocess(tmp_path):
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, os, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from gaussep import (
+    GaussianState, ModePartition, admissible_S, random_covariance, wigner_eval, williamson,
+)
 from gaussep.cli import main
 
 work = sys.argv[1]
@@ -379,10 +383,16 @@ shear = os.path.join(work, "shear.json")
 with open(shear, "w") as handle:
     json.dump({"matrix": [[1.0, 1.0], [0.0, 1.0]]}, handle)
 for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc],
-             ["polar", shear], ["convert", doc, "--to", "blocked"]):
+             ["williamson", doc], ["polar", shear], ["convert", doc, "--to", "blocked"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code == 0, (argv, code)
+
+# the library routines the CLI does not reach
+cov = random_covariance(ModePartition(1, 2), seed=0)
+assert williamson(cov).nu.shape == (3,)
+assert admissible_S(cov).shape == (6, 6)
+assert wigner_eval(GaussianState(cov), np.zeros(6)) > 0.0
 print("ok")
 """
 

@@ -55,6 +55,20 @@ class TestWigner:
         state = GaussianState(CovarianceMatrix(0.5 * np.eye(4), PART11), np.zeros(4))
         assert wigner_eval(state, np.zeros(4)) == pytest.approx(1.0 / math.pi**2, rel=1e-12)
 
+    def test_matches_density_formula(self):
+        # independent evaluation through a linear solve with Sigma and its determinant
+        cov = random_covariance(ModePartition(2, 3), seed=4, squeeze_max=1.0)
+        rng = np.random.default_rng(4)
+        mean = rng.standard_normal(10)
+        points = mean + rng.standard_normal((7, 10))
+        y = points - mean
+        quad = np.sum(y * np.linalg.solve(cov.sigma, y.T).T, axis=1)
+        norm = (2.0 * math.pi) ** 5 * math.sqrt(np.linalg.det(cov.sigma))
+        expected = np.exp(-0.5 * quad) / norm
+        state = GaussianState(cov, mean)
+        assert wigner_eval(state, points) == pytest.approx(expected, rel=1e-12)
+        assert wigner_eval(state, points[0]) == pytest.approx(expected[0], rel=1e-12)
+
     def test_decays_along_rays(self):
         state = vacuum_state()
         direction = np.array([1.0, 2.0, -1.0, 0.5])
