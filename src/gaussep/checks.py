@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,13 @@ def margin_report(margin, scale, tol, residuals=None, note=""):
 
 
 def fro(matrix) -> float:
-    """Frobenius norm, the norm used by every residual in this package."""
-    return float(np.linalg.norm(matrix))
+    """Frobenius norm, the norm used by every residual in this package.
+
+    Computed as ``np.linalg.norm`` computes it for real input, without its
+    argument dispatch; every caller passes a real floating-point array.
+    """
+    x = np.asarray(matrix).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def relative_asymmetry(matrix) -> float:
@@ -69,7 +75,12 @@ def min_eig_hermitian(real_part: np.ndarray, imag_part: np.ndarray) -> float:
     in real arithmetic.  ``imag_part`` must be antisymmetric for the
     embedding to be symmetric.
     """
-    emb = np.block([[real_part, -imag_part], [imag_part, real_part]])
+    m = real_part.shape[0]
+    emb = np.empty((2 * m, 2 * m))
+    emb[:m, :m] = real_part
+    emb[:m, m:] = -imag_part
+    emb[m:, :m] = imag_part
+    emb[m:, m:] = real_part
     return float(np.linalg.eigvalsh(emb)[0])
 
 

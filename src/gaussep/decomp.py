@@ -62,10 +62,15 @@ def delta_matrix(lambdas) -> np.ndarray:
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0 or np.any(lambdas <= 0):
         raise ValueError("lambdas must be a non-empty vector of positive reals")
+    return np.diag(_delta_diagonal(lambdas))
+
+
+def _delta_diagonal(lambdas: np.ndarray) -> np.ndarray:
+    """The diagonal (lambda_1, 1/lambda_1, lambda_2, ...) of Delta."""
     diag = np.empty(2 * lambdas.size)
     diag[0::2] = lambdas
     diag[1::2] = 1.0 / lambdas
-    return np.diag(diag)
+    return diag
 
 
 def delta_blocks(lambdas, partition: ModePartition) -> tuple[np.ndarray, np.ndarray]:
@@ -190,13 +195,15 @@ def _rotation_from_eigensystem(
     matching orthonormal eigenvectors.
     """
     n = P.shape[0] // 2
+    # the same float64 arithmetic on Python floats, without numpy scalar overhead
+    wf = w.tolist()
     groups: list[list[int]] = [[0]]
     for i in range(1, 2 * n):
-        if w[i] <= w[i - 1] * (1.0 + pair_tol):
+        if wf[i] <= wf[i - 1] * (1.0 + pair_tol):
             groups[-1].append(i)
         else:
             groups.append([i])
-    reps = [math.sqrt(w[g[0]] * w[g[-1]]) for g in groups]
+    reps = [math.sqrt(wf[g[0]] * wf[g[-1]]) for g in groups]
     m = len(groups)
     for j in range(m):
         k = m - 1 - j
@@ -210,36 +217,33 @@ def _rotation_from_eigensystem(
                 f"eigenvalue classes near {reps[j]:.9g} and {reps[k]:.9g} are not reciprocal"
             )
 
-    J = symplectic_form(n)
-    modes: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for j in range(m - 1, -1, -1):
-        k = m - 1 - j
-        if j > k:
-            for i in groups[j]:
-                v = V[:, i]
-                modes.append((float(w[i]), v, -J @ v))
-        elif j == k:
-            if len(groups[j]) % 2 != 0:
-                raise PairingError("unit eigenvalue class has odd dimension")
-            # an orthonormal frame of this J-invariant class that brings the
-            # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
-            B = V[:, groups[j]]
-            C = B.T @ J @ B
-            planes = B @ _complex_frame(0.5 * (C - C.T))[1]
-            for c in range(0, planes.shape[1], 2):
-                modes.append((1.0, planes[:, c], planes[:, c + 1]))
-        # j < k: covered by the companions of its mirror class
-    if len(modes) != n:
-        raise PairingError(f"assembled {len(modes)} mode planes, expected {n}")
+    # every eigenvector v above the unit class, with its companion -Jv
+    start = groups[m // 2][-1] + 1 if m % 2 else groups[m // 2][0]
+    upper = V[:, start:]
+    companions = np.empty_like(upper)
+    companions[0::2] = -upper[1::2]
+    companions[1::2] = upper[0::2]
+    lam = w[start:]
+    if m % 2:
+        unit = groups[m // 2]
+        if len(unit) % 2 != 0:
+            raise PairingError("unit eigenvalue class has odd dimension")
+        # an orthonormal frame of this J-invariant class that brings the
+        # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
+        B = V[:, unit]
+        C = B.T @ symplectic_form(n) @ B
+        planes = B @ _complex_frame(0.5 * (C - C.T))[1]
+        upper = np.hstack([upper, planes[:, 0::2]])
+        companions = np.hstack([companions, planes[:, 1::2]])
+        lam = np.concatenate([lam, np.ones(len(unit) // 2)])
+    if lam.size != n:
+        raise PairingError(f"assembled {lam.size} mode planes, expected {n}")
 
-    lam = np.array([mode[0] for mode in modes])
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     basis = np.empty((2 * n, 2 * n))
-    for pos, idx in enumerate(order):
-        _, v, wv = modes[idx]
-        basis[:, 2 * pos] = v
-        basis[:, 2 * pos + 1] = wv
+    basis[:, 0::2] = upper[:, order]
+    basis[:, 1::2] = companions[:, order]
     # (v, -Jv) columns make the basis commute with J, and so does its orthogonal
     # polar factor: snapping onto it restores the orthogonality that
     # eigenvectors of nearly reciprocal classes lose, and keeps U in U(n)
@@ -247,7 +251,8 @@ def _rotation_from_eigensystem(
     U = (left @ right).T
 
     rot_rep = is_orthosymplectic(U, tol)
-    recon = fro(U.T @ delta_matrix(lam) @ U - P) / fro(P)
+    # U^T Delta U, with the diagonal Delta applied as a column scaling
+    recon = fro((U.T * _delta_diagonal(lam)) @ U - P) / fro(P)
     residuals = {
         "rotation_orthogonal": rot_rep.residuals["orthogonal"],
         "rotation_symplectic": rot_rep.residuals["symplectic"],

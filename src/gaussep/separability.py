@@ -32,7 +32,7 @@ from .checks import (
     min_eig_symmetric,
     relative_asymmetry,
 )
-from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks, delta_matrix
+from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks
 from .phase_space import _require_even_square, direct_sum, is_symplectic, symplectic_form
 from .spectral import (
     CovarianceMatrix,
@@ -141,8 +141,10 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     (hbar/2) Delta_B^2.  Every stage is verified: P must be symplectic, U
     orthosymplectic with U^T Delta U = P, and the squeeze bound
     (hbar/2) Delta^2 <= Sigma_U and the full Werner-Wolf check must pass;
-    all margins are recorded.  The run is deterministic: identical inputs
-    produce identical outputs.
+    all margins are recorded.  The squeeze bound is Werner-Wolf condition
+    (iii) for this witness, so ``squeeze_bound_min_eig`` is read from the
+    Werner-Wolf domination margin; its gate is applied first.  The run is
+    deterministic: identical inputs produce identical outputs.
 
     Raises
     ------
@@ -182,13 +184,14 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     delta_a, delta_b = delta_blocks(lam, cov.partition)
     witness = SeparabilityWitness(half * delta_a @ delta_a, half * delta_b @ delta_b, cov.hbar)
 
-    scale = cov.scale()
-    squeeze_margin = min_eig_symmetric(sigma_u - half * delta_matrix(lam) ** 2)
-    if squeeze_margin < -tol * scale:
+    ww = werner_wolf_check(sigma_U, witness, tol)
+    # the squeeze bound (hbar/2) Delta^2 <= Sigma_U is Werner-Wolf condition (iii)
+    # for this witness, so its margin is the domination margin
+    squeeze_margin = ww.residuals["domination_min_eig"]
+    if squeeze_margin < -tol * cov.scale():
         raise VerificationError(
             f"squeeze bound (hbar/2) Delta^2 <= Sigma_U failed: margin {squeeze_margin:.3e}"
         )
-    ww = werner_wolf_check(sigma_U, witness, tol)
     if not ww.passed:
         raise VerificationError(f"witness failed the Werner-Wolf check: margin {ww.margin:.3e}")
 

@@ -10,6 +10,7 @@ from gaussep import (
     ModePartition,
     QuantumConditionError,
     SeparabilityWitness,
+    VerificationError,
     admissible_S,
     delta_blocks,
     direct_sum,
@@ -25,7 +26,7 @@ from gaussep import (
     two_mode_squeezed_vacuum,
     werner_wolf_check,
 )
-from helpers import symplectic_spectrum_oracle, two_mode_squeezer
+from helpers import acceptance_states, symplectic_spectrum_oracle, two_mode_squeezer
 
 PART11 = ModePartition(1, 1)
 
@@ -160,6 +161,19 @@ class TestDisentangle:
         delta_sq = np.diag(np.repeat(result.lambdas, 2) ** np.tile([2.0, -2.0], 3))
         gap = np.linalg.eigvalsh(result.sigma_U.sigma - 0.5 * cov.hbar * delta_sq)[0]
         assert gap >= -1e-9 * np.linalg.norm(cov.sigma)
+
+    def test_squeeze_bound_is_the_domination_margin(self):
+        for _, cov in acceptance_states():
+            result = disentangle(cov)
+            assert (
+                result.residuals["squeeze_bound_min_eig"]
+                == result.werner_wolf.residuals["domination_min_eig"]
+            )
+
+    def test_squeeze_bound_gate_raises_first(self):
+        # both gates fail on TMSV r = 7; the squeeze bound names the failure
+        with pytest.raises(VerificationError, match="^squeeze bound"):
+            disentangle(two_mode_squeezed_vacuum(7.0))
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_pure_states_reach_equality(self, seed):
