@@ -70,18 +70,9 @@ def relative_asymmetry(matrix) -> float:
 def min_eig_hermitian(real_part: np.ndarray, imag_part: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian matrix ``real_part + i*imag_part``.
 
-    Uses the real symmetric embedding ``[[A, -B], [B, A]]`` whose spectrum is
-    that of ``A + iB`` with every eigenvalue doubled, keeping the computation
-    in real arithmetic.  ``imag_part`` must be antisymmetric for the
-    embedding to be symmetric.
+    ``real_part`` must be symmetric and ``imag_part`` antisymmetric.
     """
-    m = real_part.shape[0]
-    emb = np.empty((2 * m, 2 * m))
-    emb[:m, :m] = real_part
-    emb[:m, m:] = -imag_part
-    emb[m:, :m] = imag_part
-    emb[m:, m:] = real_part
-    return float(np.linalg.eigvalsh(emb)[0])
+    return float(np.linalg.eigvalsh(real_part + 1j * imag_part)[0])
 
 
 def min_eig_symmetric(matrix: np.ndarray) -> float:
@@ -91,8 +82,12 @@ def min_eig_symmetric(matrix: np.ndarray) -> float:
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix."""
-    w, v = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    """Symmetric square root of a symmetric positive-definite matrix.
+
+    ``eigh`` reads one triangle only, so ``matrix`` must be exactly
+    symmetric, as every ``CovarianceMatrix.sigma`` is.
+    """
+    w, v = np.linalg.eigh(matrix)
     if w[0] <= 0.0:
         raise ValueError("matrix is not positive definite")
     root = (v * np.sqrt(w)) @ v.T

@@ -22,11 +22,9 @@ from .decomp import symplectic_polar
 from .documents import (
     DocumentError,
     InputDocument,
-    matrix_to_lists,
     parse_input_document,
     parse_matrix_document,
     render_input_document,
-    vector_to_list,
 )
 from .phase_space import (
     ModePartition,
@@ -176,7 +174,7 @@ def cmd_validate(args) -> int:
     report, nu, _ = _quantum_condition(cov, args.tol)
     out = _header("validate", doc, hbar, args.tol)
     out["quantum_condition"] = _report_dict(report)
-    out["symplectic_eigenvalues"] = vector_to_list(nu)
+    out["symplectic_eigenvalues"] = nu.tolist()
     out["verdict"] = "pass" if report.passed else "fail"
     _print_report(out, args)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -199,12 +197,12 @@ def cmd_disentangle(args) -> int:
 
     out = _header("disentangle", doc, hbar, args.tol)
     out["quantum_condition"] = _report_dict(result.quantum_condition)
-    out["symplectic_eigenvalues"] = vector_to_list(result.symplectic_eigenvalues)
-    out["lambdas"] = vector_to_list(result.lambdas)
-    out["U"] = matrix_to_lists(result.U)
-    out["sigma_U"] = matrix_to_lists(result.sigma_U.sigma)
-    out["sigma_A"] = matrix_to_lists(result.witness.sigma_a)
-    out["sigma_B"] = matrix_to_lists(result.witness.sigma_b)
+    out["symplectic_eigenvalues"] = result.symplectic_eigenvalues.tolist()
+    out["lambdas"] = result.lambdas.tolist()
+    out["U"] = result.U.tolist()
+    out["sigma_U"] = result.sigma_U.sigma.tolist()
+    out["sigma_A"] = result.witness.sigma_a.tolist()
+    out["sigma_B"] = result.witness.sigma_b.tolist()
     out["werner_wolf"] = _report_dict(result.werner_wolf)
     out["ppt"] = _report_dict(ppt_test(cov, args.tol))
     out["residuals"] = {k: float(v) for k, v in result.residuals.items()}
@@ -235,8 +233,8 @@ def cmd_williamson(args) -> int:
     except ValueError as exc:
         raise DocumentError(f"sigma admits no Williamson form: {exc}") from None
     out = _header("williamson", doc, hbar, args.tol)
-    out["symplectic_eigenvalues"] = vector_to_list(form.nu)
-    out["S"] = matrix_to_lists(form.S)
+    out["symplectic_eigenvalues"] = form.nu.tolist()
+    out["S"] = form.S.tolist()
     out["residuals"] = {k: float(v) for k, v in form.residuals.items()}
     _reverify_report(out)
     _print_report(out, args)
@@ -260,9 +258,9 @@ def cmd_polar(args) -> int:
         "declared_ordering": declared.value,
         "n": n,
         "input_digest": digest,
-        "S": matrix_to_lists(matrix),
-        "P": matrix_to_lists(form.P),
-        "R": matrix_to_lists(form.R),
+        "S": matrix.tolist(),
+        "P": form.P.tolist(),
+        "R": form.R.tolist(),
         "residuals": {k: float(v) for k, v in form.residuals.items()},
     }
     _reverify_report(out)

@@ -136,14 +136,12 @@ def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
     return PolarForm(P=P, R=R, residuals=residuals)
 
 
-def ortho_diagonalize(
-    P: np.ndarray, tol: float = DEFAULT_TOL, pair_tol: float = PAIR_TOL
-) -> RotationDiagonalization:
+def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagonalization:
     """Diagonalize a positive-definite symplectic P by a symplectic rotation.
 
     Steps: (i) symmetric eigendecomposition of P; (ii) cluster the
     eigenvalues into reciprocal classes {lambda, 1/lambda} with relative
-    tolerance ``pair_tol``; (iii) for each class with lambda > 1, companion
+    tolerance ``PAIR_TOL``; (iii) for each class with lambda > 1, companion
     vectors w = -J v of an orthonormal eigenbasis {v} are automatically
     orthonormal eigenvectors for 1/lambda (from P J = J P^(-1)); (iv) the
     lambda = 1 class is split into (v, -Jv) planes by the complex
@@ -177,17 +175,13 @@ def ortho_diagonalize(
     w, V = np.linalg.eigh(0.5 * (P + P.T))
     if w[0] <= 0.0:
         raise ValueError("input is not positive definite")
-    rotation = _rotation_from_eigensystem(P, w, V, tol, pair_tol)
+    rotation = _rotation_from_eigensystem(P, w, V, tol)
     residuals = {**rotation.residuals, "input_symplectic": symp_rep.residuals["symplectic"]}
     return RotationDiagonalization(U=rotation.U, lambdas=rotation.lambdas, residuals=residuals)
 
 
 def _rotation_from_eigensystem(
-    P: np.ndarray,
-    w: np.ndarray,
-    V: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    pair_tol: float = PAIR_TOL,
+    P: np.ndarray, w: np.ndarray, V: np.ndarray, tol: float = DEFAULT_TOL
 ) -> RotationDiagonalization:
     """Steps (ii)-(viii) of ``ortho_diagonalize`` for a P whose eigensystem is known.
 
@@ -199,7 +193,7 @@ def _rotation_from_eigensystem(
     wf = w.tolist()
     groups: list[list[int]] = [[0]]
     for i in range(1, 2 * n):
-        if wf[i] <= wf[i - 1] * (1.0 + pair_tol):
+        if wf[i] <= wf[i - 1] * (1.0 + PAIR_TOL):
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -212,7 +206,7 @@ def _rotation_from_eigensystem(
                 f"eigenvalue classes near {reps[j]:.9g} and {reps[k]:.9g} have "
                 f"dimensions {len(groups[j])} and {len(groups[k])}"
             )
-        if abs(reps[j] * reps[k] - 1.0) > 10.0 * pair_tol:
+        if abs(reps[j] * reps[k] - 1.0) > 10.0 * PAIR_TOL:
             raise PairingError(
                 f"eigenvalue classes near {reps[j]:.9g} and {reps[k]:.9g} are not reciprocal"
             )
@@ -225,9 +219,9 @@ def _rotation_from_eigensystem(
     companions[1::2] = upper[0::2]
     lam = w[start:]
     if m % 2:
+        # mirror classes have equal dimensions (checked above), so this class
+        # has even dimension 2n - 2 * len(lam) and the planes number exactly n
         unit = groups[m // 2]
-        if len(unit) % 2 != 0:
-            raise PairingError("unit eigenvalue class has odd dimension")
         # an orthonormal frame of this J-invariant class that brings the
         # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
         B = V[:, unit]
@@ -236,8 +230,6 @@ def _rotation_from_eigensystem(
         upper = np.hstack([upper, planes[:, 0::2]])
         companions = np.hstack([companions, planes[:, 1::2]])
         lam = np.concatenate([lam, np.ones(len(unit) // 2)])
-    if lam.size != n:
-        raise PairingError(f"assembled {lam.size} mode planes, expected {n}")
 
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import SYMMETRY_TOL, relative_asymmetry
-from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
+from .phase_space import ModePartition, Ordering, convert_ordering
 from .spectral import CovarianceMatrix
 
 #: Asymmetry beyond this (relative) is silently symmetrized but warned about.
@@ -90,9 +90,6 @@ class InputDocument:
             return CovarianceMatrix(sigma, self.partition, hbar)
         except ValueError as exc:
             raise DocumentError(f"sigma is not a covariance matrix: {exc}") from None
-
-    def mean_interleaved(self) -> np.ndarray:
-        return convert_vector_ordering(self.mean, self.ordering, Ordering.INTERLEAVED)
 
 
 def parse_input_document(text: str) -> InputDocument:
@@ -181,14 +178,6 @@ def parse_matrix_document(text: str) -> tuple[np.ndarray, Ordering, str]:
     )
 
 
-def matrix_to_lists(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(matrix)]
-
-
-def vector_to_list(vector: np.ndarray) -> list[float]:
-    return [float(x) for x in np.asarray(vector)]
-
-
 def render_input_document(
     sigma: np.ndarray,
     partition: ModePartition,
@@ -204,7 +193,7 @@ def render_input_document(
         "ordering": ordering.value,
         "n_A": partition.n_a,
         "n_B": partition.n_b,
-        "sigma": matrix_to_lists(sigma),
-        "mean": vector_to_list(mean),
+        "sigma": sigma.tolist(),
+        "mean": mean.tolist(),
     }
     return json.dumps(doc, indent=2)

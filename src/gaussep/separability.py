@@ -45,7 +45,12 @@ from .spectral import (
 
 @dataclass(frozen=True, eq=False)
 class SeparabilityWitness:
-    """Pair (Sigma_A, Sigma_B) certifying Werner-Wolf separability of some Sigma."""
+    """Pair (Sigma_A, Sigma_B) certifying Werner-Wolf separability of some Sigma.
+
+    Each block must be symmetric to ``checks.SYMMETRY_TOL``; like
+    ``CovarianceMatrix.sigma`` it is stored as its exact symmetric part,
+    read-only, in the interleaved ordering.
+    """
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
@@ -57,6 +62,7 @@ class SeparabilityWitness:
             _require_even_square(block)
             if relative_asymmetry(block) > SYMMETRY_TOL:
                 raise ValueError(f"{name} is not symmetric")
+            block = 0.5 * (block + block.T)
             block.setflags(write=False)
             object.__setattr__(self, name, block)
         if not (self.hbar > 0):
@@ -102,7 +108,6 @@ def werner_wolf_check(
     the witness blocks of the disentangling pipeline are minimal-uncertainty
     states, so (i) and (ii) sit on the boundary by design.
     """
-    cov = cov.as_interleaved()
     if witness.n_a != cov.partition.n_a or witness.n_b != cov.partition.n_b:
         raise ValueError(
             f"witness blocks of {witness.n_a}+{witness.n_b} modes do not match the "
@@ -154,7 +159,6 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     VerificationError
         A downstream stage failed its tolerance; the message names the stage.
     """
-    cov = cov.as_interleaved()
     report, nu, (root, s, Yt) = _quantum_condition(cov, tol)
     if not report.passed:
         raise QuantumConditionError(
@@ -177,9 +181,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     U = rotation.U
     lam = rotation.lambdas
     half = 0.5 * cov.hbar
-    sigma_u = U @ cov.sigma @ U.T
-    sigma_u = 0.5 * (sigma_u + sigma_u.T)
-    sigma_U = CovarianceMatrix(sigma_u, cov.partition, cov.hbar)
+    sigma_U = CovarianceMatrix(U @ cov.sigma @ U.T, cov.partition, cov.hbar)
 
     delta_a, delta_b = delta_blocks(lam, cov.partition)
     witness = SeparabilityWitness(half * delta_a @ delta_a, half * delta_b @ delta_b, cov.hbar)
@@ -226,7 +228,6 @@ def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     separability conclusively just for 1 x m partitions, which the note
     spells out rather than overclaiming.
     """
-    cov = cov.as_interleaved()
     signs = np.ones(cov.dim)
     signs[2 * cov.partition.n_a + 1 :: 2] = -1.0
     tilde = CovarianceMatrix(

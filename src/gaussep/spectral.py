@@ -31,10 +31,8 @@ from .checks import (
 )
 from .phase_space import (
     ModePartition,
-    Ordering,
     _complex_frame,
     _require_even_square,
-    convert_ordering,
     is_symplectic,
     symplectic_form,
 )
@@ -56,17 +54,21 @@ class QuantumConditionError(ValueError):
 class CovarianceMatrix:
     """Covariance matrix of an n-mode Gaussian state with its context.
 
-    ``sigma`` must be symmetric (``checks.SYMMETRY_TOL``) and
-    positive definite; the quantum condition is deliberately not part of
-    the type so that non-quantum matrices (for example partial transposes)
-    can still be represented.  ``hbar`` travels with the data because the
-    quantum verdict depends on its numerical value.
+    ``sigma`` is in the interleaved ordering ``(x1, p1, ..., xn, pn)``;
+    blocked data is converted first (``phase_space.convert_ordering``, or
+    an input document).  It must be symmetric to ``checks.SYMMETRY_TOL``
+    and positive definite, and the stored array is its exact symmetric
+    part ``(sigma + sigma^T) / 2``, read-only, so every later computation
+    sees the same matrix whichever triangle it reads.  The quantum
+    condition is deliberately not part of the type so that non-quantum
+    matrices (for example partial transposes) can still be represented.
+    ``hbar`` travels with the data because the quantum verdict depends on
+    its numerical value.
     """
 
     sigma: np.ndarray
     partition: ModePartition
     hbar: float = 1.0
-    ordering: Ordering = Ordering.INTERLEAVED
 
     def __post_init__(self):
         sigma = np.array(self.sigma, dtype=float)
@@ -81,7 +83,8 @@ class CovarianceMatrix:
         asym = relative_asymmetry(sigma)
         if asym > SYMMETRY_TOL:
             raise ValueError(f"sigma is not symmetric (relative asymmetry {asym:.3e})")
-        if np.linalg.eigvalsh(0.5 * (sigma + sigma.T))[0] <= 0.0:
+        sigma = 0.5 * (sigma + sigma.T)
+        if np.linalg.eigvalsh(sigma)[0] <= 0.0:
             raise ValueError("sigma is not positive definite")
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
@@ -93,13 +96,6 @@ class CovarianceMatrix:
     @property
     def dim(self) -> int:
         return 2 * self.partition.n
-
-    def as_interleaved(self) -> "CovarianceMatrix":
-        """This matrix re-indexed to the interleaved ordering (no-op if already)."""
-        if self.ordering is Ordering.INTERLEAVED:
-            return self
-        sigma = convert_ordering(self.sigma, self.ordering, Ordering.INTERLEAVED)
-        return CovarianceMatrix(sigma, self.partition, self.hbar, Ordering.INTERLEAVED)
 
     def scale(self) -> float:
         """Norm scale used for relative tolerance gates."""
@@ -152,16 +148,15 @@ def _paired_spectrum(s: np.ndarray) -> np.ndarray:
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of J Sigma, one per mode, sorted descending."""
-    return _paired_spectrum(_spectral_core(cov.as_interleaved().sigma)[1])
+    return _paired_spectrum(_spectral_core(cov.sigma)[1])
 
 
 def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """Decide whether Sigma + (i*hbar/2) J is positive semidefinite.
 
-    The margin is the smallest eigenvalue of that Hermitian matrix, computed
-    over a real symmetric embedding.  The equivalent route
-    ``min_k nu_k >= hbar/2`` is computed as well; a sign disagreement well
-    outside the noise band raises VerificationError.
+    The margin is the smallest eigenvalue of that Hermitian matrix.  The
+    equivalent route ``min_k nu_k >= hbar/2`` is computed as well; a sign
+    disagreement well outside the noise band raises VerificationError.
     """
     return _quantum_condition(cov, tol)[0]
 
@@ -170,7 +165,6 @@ def _quantum_condition(
     cov: CovarianceMatrix, tol: float
 ) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``quantum_condition_check``, and the spectrum and ``_spectral_core`` it computes."""
-    cov = cov.as_interleaved()
     J = symplectic_form(cov.n)
     margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
     core = _spectral_core(cov.sigma)
@@ -209,7 +203,6 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     VerificationError
         If a reconstruction or symplecticity residual exceeds ``tol``.
     """
-    cov = cov.as_interleaved()
     sigma = cov.sigma
     root, K = _antisym_core(sigma, cov.n)
     nu, Q = _complex_frame(K)
@@ -239,7 +232,6 @@ def admissible_S(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     the Williamson S, and the inclusion is verified through the equivalent
     matrix test ``(hbar/2) * lambda_max(S^T Sigma^(-1) S) <= 1``.
     """
-    cov = cov.as_interleaved()
     report = quantum_condition_check(cov, tol)
     if not report.passed:
         raise QuantumConditionError(

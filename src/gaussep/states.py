@@ -18,8 +18,6 @@ from .checks import DEFAULT_TOL
 from .decomp import delta_matrix
 from .phase_space import (
     ModePartition,
-    Ordering,
-    convert_vector_ordering,
     is_orthosymplectic,
     is_symplectic,
     symplectic_form,
@@ -31,8 +29,7 @@ from .spectral import CovarianceMatrix, QuantumConditionError, quantum_condition
 class GaussianState:
     """Gaussian quantum state (Sigma, mean); the quantum condition is enforced.
 
-    Blocked-ordered input is converted to interleaved at construction, with
-    ``mean`` interpreted in the same ordering as ``cov``.
+    ``mean`` is in the interleaved ordering of ``cov`` and defaults to zero.
     """
 
     cov: CovarianceMatrix
@@ -46,16 +43,12 @@ class GaussianState:
         mean = np.array(mean, dtype=float)
         if mean.shape != (cov.dim,):
             raise ValueError(f"mean has shape {mean.shape}, expected ({cov.dim},)")
-        if cov.ordering is not Ordering.INTERLEAVED:
-            mean = convert_vector_ordering(mean, cov.ordering, Ordering.INTERLEAVED)
-            cov = cov.as_interleaved()
         report = quantum_condition_check(cov)
         if not report.passed:
             raise QuantumConditionError(
                 f"covariance matrix is not a quantum state (margin {report.margin:.3e})", report
             )
         mean.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
 
     @property
@@ -208,7 +201,6 @@ def random_covariance(
     nu = 0.5 * hbar * (1.0 + rng.uniform(0.0, mix_max, partition.n))
     S = random_symplectic(partition.n, rng, squeeze_max)
     sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
-    sigma = 0.5 * (sigma + sigma.T)
     return CovarianceMatrix(sigma, partition, hbar)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from gaussep import CovarianceMatrix, ModePartition, random_covariance, symplectic_form
+from gaussep.checks import SYMMETRY_TOL, fro
 
 
 def two_mode_squeezer(r: float) -> np.ndarray:
@@ -29,6 +30,18 @@ def symplectic_spectrum_oracle(sigma: np.ndarray) -> np.ndarray:
     mods = np.abs(np.linalg.eigvals(symplectic_form(n) @ sigma))
     mods = np.sort(mods)[::-1]
     return 0.5 * (mods[0::2] + mods[1::2])
+
+
+def pure_2_2_state() -> CovarianceMatrix:
+    """A pure 2+2 state: every symplectic eigenvalue sits on the quantum limit."""
+    return random_covariance(ModePartition(2, 2), seed=5, mix_max=0.0)
+
+
+def antisymmetric_perturbation(matrix: np.ndarray, seed: int) -> np.ndarray:
+    """``matrix`` plus a random antisymmetric term at 0.99 * SYMMETRY_TOL relative asymmetry."""
+    a = np.random.default_rng(seed).standard_normal(matrix.shape)
+    a = a - a.T
+    return matrix + a * (0.99 * SYMMETRY_TOL * max(1.0, fro(matrix)) / fro(2.0 * a))
 
 
 ACCEPTANCE_PARTITIONS = [(1, 1), (1, 2), (2, 2), (2, 3)]

@@ -11,14 +11,15 @@ def test_fro_matches_numpy_norm_bit_for_bit():
         assert fro(x) == float(np.linalg.norm(x))
 
 
-def test_min_eig_hermitian_matches_block_embedding_bit_for_bit():
+def test_min_eig_hermitian_matches_block_embedding():
+    # the real symmetric embedding [[A, -B], [B, A]] has the spectrum of A + iB, doubled
     rng = np.random.default_rng(1)
     for dim in (2, 4, 8):
         a = rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim))
         a, b = a + a.T, b - b.T
         expected = np.linalg.eigvalsh(np.block([[a, -b], [b, a]]))[0]
-        assert min_eig_hermitian(a, b) == expected
+        assert abs(min_eig_hermitian(a, b) - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 def test_min_eig_hermitian_agrees_with_complex_oracle():

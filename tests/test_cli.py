@@ -420,3 +420,17 @@ def test_importing_the_cli_does_not_load_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_tmsv_demo_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "disentangle_tmsv.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "0.5", "1"],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    blocks = result.stdout.strip().split("\n\n")
+    assert [block.splitlines()[0] for block in blocks] == ["r = 0.5", "r = 1.0"]
+    for block in blocks:
+        assert "(pass)" in block
+        assert "rotated state PPT: ppt" in block

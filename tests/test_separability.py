@@ -26,7 +26,13 @@ from gaussep import (
     two_mode_squeezed_vacuum,
     werner_wolf_check,
 )
-from helpers import acceptance_states, symplectic_spectrum_oracle, two_mode_squeezer
+from helpers import (
+    acceptance_states,
+    antisymmetric_perturbation,
+    pure_2_2_state,
+    symplectic_spectrum_oracle,
+    two_mode_squeezer,
+)
 
 PART11 = ModePartition(1, 1)
 
@@ -79,6 +85,14 @@ class TestWernerWolfCheck:
         with pytest.raises(ValueError, match="hbar"):
             werner_wolf_check(cov, witness)
 
+    def test_boundary_block_with_accepted_asymmetry_passes(self):
+        result = disentangle(pure_2_2_state())
+        for seed in range(10):
+            sigma_a = antisymmetric_perturbation(result.witness.sigma_a, seed)
+            witness = SeparabilityWitness(sigma_a, result.witness.sigma_b, result.witness.hbar)
+            assert np.array_equal(witness.sigma_a, witness.sigma_a.T)
+            assert werner_wolf_check(result.sigma_U, witness).passed
+
 
 class TestDisentangle:
     def test_vacuum_is_fixed(self):
@@ -121,6 +135,14 @@ class TestDisentangle:
         cov = CovarianceMatrix(np.diag([1.0, 0.125, 1.0, 0.125]), PART11)
         with pytest.raises(QuantumConditionError):
             disentangle(cov)
+
+    def test_pure_state_with_accepted_asymmetry(self):
+        base = pure_2_2_state()
+        for seed in range(10):
+            cov = CovarianceMatrix(antisymmetric_perturbation(base.sigma, seed), base.partition)
+            result = disentangle(cov)
+            assert result.quantum_condition.passed
+            assert result.werner_wolf.passed
 
     def test_deterministic(self):
         cov = random_covariance(ModePartition(2, 1), seed=5)

@@ -19,7 +19,13 @@ from gaussep import (
     symplectic_form,
     williamson,
 )
-from helpers import hermitian_min_eig_oracle, symplectic_spectrum_oracle
+from gaussep.checks import SYMMETRY_TOL, relative_asymmetry
+from helpers import (
+    antisymmetric_perturbation,
+    hermitian_min_eig_oracle,
+    pure_2_2_state,
+    symplectic_spectrum_oracle,
+)
 
 PART11 = ModePartition(1, 1)
 
@@ -47,6 +53,18 @@ class TestCovarianceMatrix:
         cov = CovarianceMatrix(np.eye(4), PART11)
         with pytest.raises(ValueError):
             cov.sigma[0, 0] = 2.0
+
+    def test_stores_the_exact_symmetric_part(self):
+        # LAPACK reads one triangle: an asymmetry the gate accepts must not
+        # move the Hermitian margin of a state on the quantum limit
+        base = pure_2_2_state()
+        for seed in range(10):
+            sigma = antisymmetric_perturbation(base.sigma, seed)
+            assert 0.9 * SYMMETRY_TOL < relative_asymmetry(sigma) < SYMMETRY_TOL
+            cov = CovarianceMatrix(sigma, base.partition)
+            assert np.array_equal(cov.sigma, cov.sigma.T)
+            assert np.array_equal(cov.sigma, 0.5 * (sigma + sigma.T))
+            assert quantum_condition_check(cov).passed
 
 
 class TestQuantumCondition:

@@ -9,10 +9,7 @@ from gaussep import (
     CovarianceMatrix,
     GaussianState,
     ModePartition,
-    Ordering,
     QuantumConditionError,
-    convert_ordering,
-    convert_vector_ordering,
     disentangle,
     direct_sum,
     is_orthosymplectic,
@@ -261,18 +258,3 @@ class TestGaussianState:
     def test_rejects_bad_mean_shape(self):
         with pytest.raises(ValueError, match="mean"):
             GaussianState(CovarianceMatrix(0.5 * np.eye(4), PART11), np.zeros(3))
-
-    def test_blocked_input_is_normalized(self):
-        cov = random_covariance(PART11, seed=8, mix_max=1.0)
-        mean = np.array([0.1, -0.2, 0.3, 0.4])
-        blocked = CovarianceMatrix(
-            convert_ordering(cov.sigma, Ordering.INTERLEAVED, Ordering.BLOCKED),
-            PART11,
-            ordering=Ordering.BLOCKED,
-        )
-        state = GaussianState(
-            blocked, convert_vector_ordering(mean, Ordering.INTERLEAVED, Ordering.BLOCKED)
-        )
-        assert state.cov.ordering is Ordering.INTERLEAVED
-        assert np.array_equal(state.cov.sigma, cov.sigma)
-        assert np.array_equal(state.mean, mean)
