@@ -76,9 +76,8 @@ def min_eig_hermitian(real_part: np.ndarray, imag_part: np.ndarray) -> float:
 
 
 def min_eig_symmetric(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a (nearly) symmetric real matrix."""
-    sym = 0.5 * (matrix + matrix.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    """Smallest eigenvalue of a symmetric real matrix (``eigvalsh`` reads one triangle)."""
+    return float(np.linalg.eigvalsh(matrix)[0])
 
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:

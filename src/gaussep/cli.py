@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_TOL, CheckReport, VerificationError
+from .checks import DEFAULT_TOL, VerificationError
 from .decomp import symplectic_polar
 from .documents import (
     DocumentError,
@@ -75,17 +76,6 @@ def _resolve_hbar(doc: InputDocument, args) -> float:
             "the verdict depends on hbar"
         )
     return override
-
-
-def _report_dict(report: CheckReport) -> dict:
-    return {
-        "passed": report.passed,
-        "margin": report.margin,
-        "scale": report.scale,
-        "tol": report.tol,
-        "residuals": dict(report.residuals),
-        "note": report.note,
-    }
 
 
 def _header(command: str, doc: InputDocument, hbar: float, tol: float) -> dict:
@@ -173,7 +163,7 @@ def cmd_validate(args) -> int:
     cov = doc.to_covariance(hbar)
     report, nu, _ = _quantum_condition(cov, args.tol)
     out = _header("validate", doc, hbar, args.tol)
-    out["quantum_condition"] = _report_dict(report)
+    out["quantum_condition"] = asdict(report)
     out["symplectic_eigenvalues"] = nu.tolist()
     out["verdict"] = "pass" if report.passed else "fail"
     _print_report(out, args)
@@ -189,22 +179,22 @@ def cmd_disentangle(args) -> int:
     except QuantumConditionError as exc:
         # no partial witness: report the failing quantum condition only
         out = _header("disentangle", doc, hbar, args.tol)
-        out["quantum_condition"] = _report_dict(exc.report)
+        out["quantum_condition"] = asdict(exc.report)
         out["verdict"] = "fail"
         _print_report(out, args)
         _warn(str(exc))
         return EXIT_FAIL
 
     out = _header("disentangle", doc, hbar, args.tol)
-    out["quantum_condition"] = _report_dict(result.quantum_condition)
+    out["quantum_condition"] = asdict(result.quantum_condition)
     out["symplectic_eigenvalues"] = result.symplectic_eigenvalues.tolist()
     out["lambdas"] = result.lambdas.tolist()
     out["U"] = result.U.tolist()
     out["sigma_U"] = result.sigma_U.sigma.tolist()
     out["sigma_A"] = result.witness.sigma_a.tolist()
     out["sigma_B"] = result.witness.sigma_b.tolist()
-    out["werner_wolf"] = _report_dict(result.werner_wolf)
-    out["ppt"] = _report_dict(ppt_test(cov, args.tol))
+    out["werner_wolf"] = asdict(result.werner_wolf)
+    out["ppt"] = asdict(ppt_test(cov, args.tol))
     out["residuals"] = {k: float(v) for k, v in result.residuals.items()}
     out["verdict"] = "pass"
     _reverify_report(out)
@@ -218,7 +208,7 @@ def cmd_ppt(args) -> int:
     cov = doc.to_covariance(hbar)
     report = ppt_test(cov, args.tol)
     out = _header("ppt", doc, hbar, args.tol)
-    out["ppt"] = _report_dict(report)
+    out["ppt"] = asdict(report)
     out["verdict"] = "ppt" if report.passed else "entangled"
     _print_report(out, args)
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -10,7 +10,6 @@ Delta = (+)_k diag(lambda_k, 1/lambda_k), lambda_k >= 1, sorted descending.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,14 @@ from .phase_space import (
     symplectic_form,
 )
 
-#: Relative tolerance for grouping eigenvalues into reciprocal classes.
+#: Reciprocity tolerance: each product of mirrored eigenvalues of P must be 1 within 10x this.
 PAIR_TOL = 1e-8
+
+_EPS = float(np.finfo(float).eps)
 
 
 class PairingError(ValueError):
-    """Eigenvalues of the input could not be grouped into reciprocal pairs.
+    """Eigenvalues of the input do not come in reciprocal pairs.
 
     Signals that the matrix handed to the diagonalizer was not symplectic.
     """
@@ -52,9 +53,6 @@ class RotationDiagonalization:
     U: np.ndarray
     lambdas: np.ndarray
     residuals: dict[str, float]
-
-    def delta(self) -> np.ndarray:
-        return delta_matrix(self.lambdas)
 
 
 def delta_matrix(lambdas) -> np.ndarray:
@@ -139,18 +137,17 @@ def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
 def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagonalization:
     """Diagonalize a positive-definite symplectic P by a symplectic rotation.
 
-    Steps: (i) symmetric eigendecomposition of P; (ii) cluster the
-    eigenvalues into reciprocal classes {lambda, 1/lambda} with relative
-    tolerance ``PAIR_TOL``; (iii) for each class with lambda > 1, companion
-    vectors w = -J v of an orthonormal eigenbasis {v} are automatically
-    orthonormal eigenvectors for 1/lambda (from P J = J P^(-1)); (iv) the
-    lambda = 1 class is split into (v, -Jv) planes by the complex
-    eigenvectors of J restricted to it; (v) U^T gets columns
-    (v_1, w_1, v_2, w_2, ...) so Delta = (+) diag(lambda_k, 1/lambda_k);
-    (vi) modes are sorted by lambda descending; (vii) U is replaced by its
-    orthogonal polar factor, which still commutes with J, so roundoff in
-    the eigenvectors of nearly reciprocal classes cannot take U out of
-    U(n); (viii) every
+    Steps: (i) eigenvalues w of P ascending, with eigenvectors; (ii) w[n + i]
+    pairs with w[n - 1 - i], and their product must be 1 within
+    ``10 * PAIR_TOL``; (iii) the middle eigenvalues that roundoff
+    (8 n eps kappa(P)) cannot tell from 1 form the unit class, split into
+    planes by the complex eigenvectors of J restricted to it, one vector v
+    per plane with lambda = 1; every larger eigenvalue keeps its own v and
+    lambda; (iv) U^T gets columns (v_1, -J v_1, v_2, -J v_2, ...), where
+    -J v is an eigenvector for 1/lambda (from P J = J P^(-1)), with modes
+    sorted by lambda descending; (v) U is replaced by its orthogonal polar
+    factor, which still commutes with J, so roundoff in the eigenvectors of
+    nearly reciprocal classes cannot take U out of U(n); (vi) every
     RotationDiagonalization invariant is verified.
 
     Raises
@@ -158,8 +155,8 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
     ValueError
         Input fails the symmetry, definiteness, or symplecticity checks.
     PairingError
-        Reciprocal eigenvalue classes have mismatched dimensions or
-        products away from one; the input was not symplectic.
+        Eigenvalues at mirrored positions are not reciprocal; the input was
+        not symplectic.
     VerificationError
         The assembled rotation fails its own invariants at ``tol``.
     """
@@ -183,7 +180,7 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
 def _rotation_from_eigensystem(
     P: np.ndarray, w: np.ndarray, V: np.ndarray, tol: float = DEFAULT_TOL
 ) -> RotationDiagonalization:
-    """Steps (ii)-(viii) of ``ortho_diagonalize`` for a P whose eigensystem is known.
+    """Steps (ii)-(vi) of ``ortho_diagonalize`` for a P whose eigensystem is known.
 
     ``w`` holds the eigenvalues of P ascending and the columns of ``V`` the
     matching orthonormal eigenvectors.
@@ -191,45 +188,30 @@ def _rotation_from_eigensystem(
     n = P.shape[0] // 2
     # the same float64 arithmetic on Python floats, without numpy scalar overhead
     wf = w.tolist()
-    groups: list[list[int]] = [[0]]
-    for i in range(1, 2 * n):
-        if wf[i] <= wf[i - 1] * (1.0 + PAIR_TOL):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    reps = [math.sqrt(wf[g[0]] * wf[g[-1]]) for g in groups]
-    m = len(groups)
-    for j in range(m):
-        k = m - 1 - j
-        if len(groups[j]) != len(groups[k]):
-            raise PairingError(
-                f"eigenvalue classes near {reps[j]:.9g} and {reps[k]:.9g} have "
-                f"dimensions {len(groups[j])} and {len(groups[k])}"
-            )
-        if abs(reps[j] * reps[k] - 1.0) > 10.0 * PAIR_TOL:
-            raise PairingError(
-                f"eigenvalue classes near {reps[j]:.9g} and {reps[k]:.9g} are not reciprocal"
-            )
-
-    # every eigenvector v above the unit class, with its companion -Jv
-    start = groups[m // 2][-1] + 1 if m % 2 else groups[m // 2][0]
-    upper = V[:, start:]
-    companions = np.empty_like(upper)
-    companions[0::2] = -upper[1::2]
-    companions[1::2] = upper[0::2]
-    lam = w[start:]
-    if m % 2:
-        # mirror classes have equal dimensions (checked above), so this class
-        # has even dimension 2n - 2 * len(lam) and the planes number exactly n
-        unit = groups[m // 2]
+    # w ascends, so w[n + i] and w[n - 1 - i] are reciprocal partners
+    defect = max(abs(wf[n + i] * wf[n - 1 - i] - 1.0) for i in range(n))
+    if defect > 10.0 * PAIR_TOL:
+        raise PairingError(
+            f"eigenvalues are not reciprocal: a pair's product is off 1 by {defect:.3e}"
+        )
+    # the unit class: the 2k middle eigenvalues that the eigensolver's roundoff,
+    # about eps * kappa(P) each, cannot tell from 1; larger ones keep their lambda
+    band = 1.0 + 8.0 * n * _EPS * wf[-1] / wf[0]
+    k = sum(x <= band for x in wf[n:])
+    upper = V[:, n + k :]
+    lam = w[n + k :]
+    if k:
         # an orthonormal frame of this J-invariant class that brings the
         # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
-        B = V[:, unit]
+        B = V[:, n - k : n + k]
         C = B.T @ symplectic_form(n) @ B
         planes = B @ _complex_frame(0.5 * (C - C.T))[1]
         upper = np.hstack([upper, planes[:, 0::2]])
-        companions = np.hstack([companions, planes[:, 1::2]])
-        lam = np.concatenate([lam, np.ones(len(unit) // 2)])
+        lam = np.concatenate([lam, np.ones(k)])
+    # every companion is -Jv
+    companions = np.empty_like(upper)
+    companions[0::2] = -upper[1::2]
+    companions[1::2] = upper[0::2]
 
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]

@@ -110,10 +110,6 @@ class WilliamsonForm:
     nu: np.ndarray
     residuals: dict[str, float]
 
-    @property
-    def D(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nu, 2))
-
 
 def _antisym_core(sigma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sigma^(1/2) and K = Sigma^(1/2) J Sigma^(1/2), antisymmetrized to kill roundoff drift."""

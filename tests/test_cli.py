@@ -157,6 +157,14 @@ class TestDisentangle:
         assert report["ppt"]["note"].startswith("entangled")
         assert report["werner_wolf"]["passed"] is True
 
+    def test_near_unit_tmsv_report(self, tmp_path, capsys):
+        # 1 +- 1e-9 is far outside roundoff of 1: lambda is resolved, not rounded to 1
+        code, out, _ = run(capsys, "disentangle", "--json", tmsv_doc(tmp_path, r=1e-9))
+        assert code == 0
+        report = json.loads(out)
+        assert np.allclose(report["lambdas"], 1.0 + 1e-9, rtol=0.0, atol=1e-14)
+        assert report["werner_wolf"]["passed"] is True
+
     def test_vacuum_report(self, tmp_path, capsys):
         code, out, _ = run(capsys, "disentangle", vacuum_doc(tmp_path), "--json")
         assert code == 0
@@ -425,12 +433,12 @@ def test_importing_the_cli_does_not_load_scipy():
 def test_tmsv_demo_script_runs():
     script = Path(__file__).resolve().parents[1] / "scripts" / "disentangle_tmsv.py"
     result = subprocess.run(
-        [sys.executable, str(script), "0.5", "1"],
+        [sys.executable, str(script), "1e-9", "0.5", "1"],
         capture_output=True, text=True, env=_subprocess_env(),
     )
     assert result.returncode == 0, result.stderr
     blocks = result.stdout.strip().split("\n\n")
-    assert [block.splitlines()[0] for block in blocks] == ["r = 0.5", "r = 1.0"]
+    assert [block.splitlines()[0] for block in blocks] == ["r = 1e-09", "r = 0.5", "r = 1.0"]
     for block in blocks:
         assert "(pass)" in block
         assert "rotated state PPT: ppt" in block

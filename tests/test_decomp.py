@@ -21,7 +21,6 @@ from gaussep import (
     symplectic_form,
     symplectic_polar,
 )
-from gaussep.decomp import PAIR_TOL
 from gaussep.phase_space import _complex_frame
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -29,7 +28,7 @@ SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 # closed form for the shear: (M + I)/sqrt(tr M + 2) is the root of M = S S^T when det M = 1
 SHEAR_P = np.array([[3.0, 1.0], [1.0, 2.0]]) / math.sqrt(5.0)
 SHEAR_R = np.array([[2.0, 1.0], [-1.0, 2.0]]) / math.sqrt(5.0)
-# a lambda = 2 class of dimension 3, a pair split inside PAIR_TOL and two unit modes
+# a lambda = 2 class of dimension 3, a 1.5 pair split by 1e-9 and two unit modes
 SPLIT_CLASSES = [2.0, 2.0, 2.0, 1.5 * (1.0 + 1e-9), 1.5, 1.0, 1.0]
 
 
@@ -137,7 +136,9 @@ class TestOrthoDiagonalize:
         recon = reconstruct(result.U, result.lambdas)
         assert np.linalg.norm(recon - P) <= 1e-10 * np.linalg.norm(P)
 
-    @pytest.mark.parametrize("lambdas", [[1.7], [2.0, 1.3, 1.1], [3.0, 1.0, 1.0, 1.3], SPLIT_CLASSES])
+    @pytest.mark.parametrize(
+        "lambdas", [[1.7], [2.0, 1.3, 1.1], [3.0, 1.0, 1.0, 1.3], SPLIT_CLASSES, [1 + 1e-9, 1.0]]
+    )
     def test_basis_matches_per_mode_loop(self, lambdas):
         P = _rotated_delta(lambdas)
         U, lam = _loop_rotation(P, *np.linalg.eigh(P))
@@ -153,32 +154,28 @@ def _rotated_delta(lambdas, seed=6):
     return 0.5 * (P + P.T)
 
 
-def _loop_rotation(P, w, V, pair_tol=PAIR_TOL):
-    """Reference: the (v, -Jv) basis assembled mode by mode, sorted, then snapped."""
+def _loop_rotation(P, w, V):
+    """Reference: the (v, -Jv) basis assembled mode by mode, sorted, then snapped.
+
+    Eigenvalues pair by position in the ascending ``w``; the unit class is the
+    middle 2k of them within 8 n eps kappa(P) of 1.
+    """
     n = P.shape[0] // 2
-    groups = [[0]]
-    for i in range(1, 2 * n):
-        if w[i] <= w[i - 1] * (1.0 + pair_tol):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    m = len(groups)
+    band = 1.0 + 8.0 * n * np.finfo(float).eps * w[-1] / w[0]
+    k = int(np.count_nonzero(w[n:] <= band))
     J = symplectic_form(n)
-    modes = []
-    for j in range(m - 1, m // 2 - 1, -1):
-        if j > m - 1 - j:
-            modes += [(float(w[i]), V[:, i], -J @ V[:, i]) for i in groups[j]]
-        else:
-            B = V[:, groups[j]]
-            C = B.T @ J @ B
-            planes = B @ _complex_frame(0.5 * (C - C.T))[1]
-            modes += [(1.0, planes[:, c], planes[:, c + 1]) for c in range(0, len(groups[j]), 2)]
+    modes = [(float(w[i]), V[:, i]) for i in range(n + k, 2 * n)]
+    if k:
+        B = V[:, n - k : n + k]
+        C = B.T @ J @ B
+        planes = B @ _complex_frame(0.5 * (C - C.T))[1]
+        modes += [(1.0, planes[:, c]) for c in range(0, 2 * k, 2)]
     lam = np.array([mode[0] for mode in modes])
     order = np.argsort(-lam, kind="stable")
     basis = np.empty((2 * n, 2 * n))
     for pos, idx in enumerate(order):
         basis[:, 2 * pos] = modes[idx][1]
-        basis[:, 2 * pos + 1] = modes[idx][2]
+        basis[:, 2 * pos + 1] = -J @ modes[idx][1]
     left, _, right = np.linalg.svd(basis)
     return (left @ right).T, lam[order]
 

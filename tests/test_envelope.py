@@ -56,6 +56,16 @@ def test_near_unit_tmsv_disentangles(r):
     assert result.lambdas == pytest.approx(math.exp(r), rel=1e-10)
 
 
+@pytest.mark.parametrize("r", [1e-10, 3e-10, 1e-9, 3e-9])
+def test_near_unit_tmsv_stretch_matches_stored_input(r):
+    # 1 +- r lies within 1e-8 of 1 but far outside roundoff: lambda must be resolved
+    cov = two_mode_squeezed_vacuum(r)
+    c, s = cov.sigma[0, 0] / 0.5, cov.sigma[0, 2] / 0.5
+    result = disentangle(cov)
+    _assert_certified(result)
+    assert result.lambdas == pytest.approx(((c + s) / (c - s)) ** 0.25, rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("r", [5.0, 6.0, 7.0, 8.0])
 def test_polar_of_strong_squeezer_keeps_rotation_orthogonal(r):
     S = two_mode_squeezer(r)
@@ -80,6 +90,15 @@ def _two_tmsv_and_vacuum(r: float = 1.0) -> CovarianceMatrix:
     local = direct_sum(random_orthosymplectic(3, rng), random_orthosymplectic(2, rng))
     sigma = local @ sigma @ local.T
     return CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(3, 2))
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+def test_near_unit_classes_beside_the_unit_class(r):
+    # the classes 1 +- r are four-fold and the vacuum's unit class sits between them
+    result = disentangle(_two_tmsv_and_vacuum(r))
+    _assert_certified(result)
+    assert result.lambdas[:4] - 1.0 == pytest.approx(r, rel=0.0, abs=1e-14)
+    assert result.lambdas[4] == pytest.approx(1.0, rel=0.0, abs=1e-14)
 
 
 DEGENERATE = {
