@@ -1,4 +1,8 @@
-"""Residual bookkeeping shared by every verification gate in the package."""
+"""Numerical policy and residual bookkeeping shared by every gate in the package.
+
+The table below holds every gate threshold with its reason; ``symmetric_input``
+is the one gate every symmetric phase-space matrix passes on its way in.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Default relative tolerance for all pass/fail gates.
-DEFAULT_TOL = 1e-10
-#: Largest ``relative_asymmetry`` of a matrix accepted as symmetric.
-SYMMETRY_TOL = 1e-9
+EPS = float(np.finfo(float).eps)  #: float64 unit roundoff, the unit of every roundoff band.
+DEFAULT_TOL = 1e-10  #: Default relative tolerance of every pass/fail gate (``--tol``).
+SYMMETRY_TOL = 1e-9  #: Largest ``relative_asymmetry`` of an input accepted as symmetric.
+INGEST_WARN_TOL = 1e-12  #: A document's asymmetry above this is repaired with a warning.
+PAIR_TOL = 1e-8  #: P's mirrored eigenvalues must multiply to 1 within 10x this (reciprocity).
+ROUNDTRIP_TOL = 1e-12  #: Relative match of one float computed twice: hbar, a re-checked margin.
+SPECTRUM_PAIR_TOL = 1e-6  #: Relative gap allowed between the two singular values of K per nu_k.
+UNIT_BAND = 8.0  #: Unit band UNIT_BAND*n*EPS*kappa(P): exact units of P spread <= 2.6 eps kappa.
+POLAR_P_FACTOR = 10  #: A polar P, rebuilt from an SVD of S, is symplectic within this times tol.
+ROUTE_BAND = 10.0  #: A route sign clash within ROUTE_BAND*max(tol, ROUTE_FLOOR)*scale is noise.
+ROUTE_FLOOR = 1e-12  #: Floor of that band, so that a tiny or zero tol does not shrink it away.
 
 
 class VerificationError(RuntimeError):
@@ -52,6 +63,34 @@ def margin_report(margin, scale, tol, residuals=None, note=""):
     )
 
 
+def _require_even_square(matrix: np.ndarray) -> int:
+    """Validate a 2n x 2n shape and return n."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.shape[0] % 2 != 0 or matrix.shape[0] == 0:
+        raise ValueError(f"phase-space dimension must be even, got {matrix.shape[0]}")
+    return matrix.shape[0] // 2
+
+
+def symmetric_input(matrix, name: str) -> np.ndarray:
+    """The input gate: the exact symmetric part ``(M + M^T) / 2`` of ``matrix``, read-only.
+
+    Raises ValueError, naming the input ``name``, unless ``matrix`` is
+    2n x 2n, finite and symmetric to SYMMETRY_TOL.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    _require_even_square(matrix)
+    # a non-finite entry makes the norm nan or inf, so only then are the entries scanned
+    if not math.isfinite(fro(matrix)) and not np.isfinite(matrix).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    asym = relative_asymmetry(matrix)
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"{name} is not symmetric (relative asymmetry {asym:.3e})")
+    sym = 0.5 * (matrix + matrix.T)
+    sym.setflags(write=False)
+    return sym
+
+
 def fro(matrix) -> float:
     """Frobenius norm, the norm used by every residual in this package.
 
@@ -63,7 +102,7 @@ def fro(matrix) -> float:
 
 
 def relative_asymmetry(matrix) -> float:
-    """``||M - M^T|| / max(1, ||M||)``, which every symmetry gate compares to SYMMETRY_TOL."""
+    """``||M - M^T|| / max(1, ||M||)``, which the input gate compares to SYMMETRY_TOL."""
     return fro(matrix - matrix.T) / max(1.0, fro(matrix))
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_TOL, VerificationError
+from .checks import DEFAULT_TOL, POLAR_P_FACTOR, ROUNDTRIP_TOL, VerificationError
 from .decomp import symplectic_polar
 from .documents import (
     DocumentError,
@@ -66,16 +66,16 @@ def _load_document(args) -> InputDocument:
     return doc
 
 
-def _resolve_hbar(doc: InputDocument, args) -> float:
-    override = getattr(args, "hbar", None)
-    if override is None:
-        return doc.hbar
-    if doc.hbar_explicit and abs(override - doc.hbar) > 0:
+def _load_covariance(args) -> tuple[InputDocument, CovarianceMatrix]:
+    """The document and its covariance matrix, with ``--hbar`` applied."""
+    doc = _load_document(args)
+    override = args.hbar
+    if override is not None and doc.hbar_explicit and abs(override - doc.hbar) > 0:
         _warn(
             f"--hbar {override} overrides the document value {doc.hbar}; "
             "the verdict depends on hbar"
         )
-    return override
+    return doc, doc.to_covariance(override)
 
 
 def _header(command: str, doc: InputDocument, hbar: float, tol: float) -> dict:
@@ -138,7 +138,7 @@ def _reverify_report(report: dict) -> None:
         )
         ww = werner_wolf_check(cov, witness, tol)
         stored = report["werner_wolf"]["margin"]
-        if not ww.passed or abs(ww.margin - stored) > 1e-12 * max(1.0, abs(stored)):
+        if not ww.passed or abs(ww.margin - stored) > ROUNDTRIP_TOL * max(1.0, abs(stored)):
             raise VerificationError("serialized witness fails re-verification")
     elif report["command"] == "williamson":
         S = np.array(report["S"], dtype=float)
@@ -150,7 +150,7 @@ def _reverify_report(report: dict) -> None:
         S = np.array(report["S"], dtype=float)
         ok = (
             is_orthosymplectic(R, tol).passed
-            and is_symplectic(P, 10 * tol).passed
+            and is_symplectic(P, POLAR_P_FACTOR * tol).passed
             and float(np.linalg.norm(P @ R - S)) <= tol * max(1.0, float(np.linalg.norm(S)))
         )
         if not ok:
@@ -158,11 +158,9 @@ def _reverify_report(report: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_document(args)
-    hbar = _resolve_hbar(doc, args)
-    cov = doc.to_covariance(hbar)
+    doc, cov = _load_covariance(args)
     report, nu, _ = _quantum_condition(cov, args.tol)
-    out = _header("validate", doc, hbar, args.tol)
+    out = _header("validate", doc, cov.hbar, args.tol)
     out["quantum_condition"] = asdict(report)
     out["symplectic_eigenvalues"] = nu.tolist()
     out["verdict"] = "pass" if report.passed else "fail"
@@ -171,21 +169,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_disentangle(args) -> int:
-    doc = _load_document(args)
-    hbar = _resolve_hbar(doc, args)
-    cov = doc.to_covariance(hbar)
+    doc, cov = _load_covariance(args)
     try:
         result = disentangle(cov, args.tol)
     except QuantumConditionError as exc:
         # no partial witness: report the failing quantum condition only
-        out = _header("disentangle", doc, hbar, args.tol)
+        out = _header("disentangle", doc, cov.hbar, args.tol)
         out["quantum_condition"] = asdict(exc.report)
         out["verdict"] = "fail"
         _print_report(out, args)
         _warn(str(exc))
         return EXIT_FAIL
 
-    out = _header("disentangle", doc, hbar, args.tol)
+    out = _header("disentangle", doc, cov.hbar, args.tol)
     out["quantum_condition"] = asdict(result.quantum_condition)
     out["symplectic_eigenvalues"] = result.symplectic_eigenvalues.tolist()
     out["lambdas"] = result.lambdas.tolist()
@@ -203,11 +199,9 @@ def cmd_disentangle(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    doc = _load_document(args)
-    hbar = _resolve_hbar(doc, args)
-    cov = doc.to_covariance(hbar)
+    doc, cov = _load_covariance(args)
     report = ppt_test(cov, args.tol)
-    out = _header("ppt", doc, hbar, args.tol)
+    out = _header("ppt", doc, cov.hbar, args.tol)
     out["ppt"] = asdict(report)
     out["verdict"] = "ppt" if report.passed else "entangled"
     _print_report(out, args)
@@ -215,14 +209,12 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_williamson(args) -> int:
-    doc = _load_document(args)
-    hbar = _resolve_hbar(doc, args)
-    cov = doc.to_covariance(hbar)
+    doc, cov = _load_covariance(args)
     try:
         form = williamson(cov, args.tol)
     except ValueError as exc:
         raise DocumentError(f"sigma admits no Williamson form: {exc}") from None
-    out = _header("williamson", doc, hbar, args.tol)
+    out = _header("williamson", doc, cov.hbar, args.tol)
     out["symplectic_eigenvalues"] = form.nu.tolist()
     out["S"] = form.S.tolist()
     out["residuals"] = {k: float(v) for k, v in form.residuals.items()}
@@ -274,8 +266,8 @@ def cmd_random(args) -> int:
 def cmd_convert(args) -> int:
     doc = _load_document(args)
     target = Ordering.parse(args.to)
-    sigma = convert_ordering(doc.sigma, doc.ordering, target)
-    mean = convert_vector_ordering(doc.mean, doc.ordering, target)
+    sigma = convert_ordering(doc.sigma, Ordering.INTERLEAVED, target)
+    mean = convert_vector_ordering(doc.mean, Ordering.INTERLEAVED, target)
     print(render_input_document(sigma, doc.partition, doc.hbar, target, mean))
     return EXIT_OK
 

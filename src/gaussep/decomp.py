@@ -14,20 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import DEFAULT_TOL, SYMMETRY_TOL, VerificationError, fro, relative_asymmetry
+from .checks import (
+    DEFAULT_TOL,
+    EPS,
+    PAIR_TOL,
+    POLAR_P_FACTOR,
+    UNIT_BAND,
+    VerificationError,
+    fro,
+    symmetric_input,
+)
 from .phase_space import (
     ModePartition,
     _complex_frame,
-    _require_even_square,
     is_orthosymplectic,
     is_symplectic,
     symplectic_form,
 )
-
-#: Reciprocity tolerance: each product of mirrored eigenvalues of P must be 1 within 10x this.
-PAIR_TOL = 1e-8
-
-_EPS = float(np.finfo(float).eps)
 
 
 class PairingError(ValueError):
@@ -111,7 +114,6 @@ def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
     verified.
     """
     S = np.asarray(S, dtype=float)
-    _require_even_square(S)
     in_rep = is_symplectic(S, tol)
     if not in_rep.passed:
         raise ValueError(
@@ -129,7 +131,8 @@ def symplectic_polar(S: np.ndarray, tol: float = DEFAULT_TOL) -> PolarForm:
         "R_symplectic": r_rep.residuals["symplectic"],
         "input_symplectic": in_rep.residuals["symplectic"],
     }
-    if residuals["factorization"] > tol or not r_rep.passed or residuals["P_symplectic"] > 10 * tol:
+    p_gate = POLAR_P_FACTOR * tol
+    if residuals["factorization"] > tol or not r_rep.passed or residuals["P_symplectic"] > p_gate:
         raise VerificationError(f"polar factor verification failed: {residuals}")
     return PolarForm(P=P, R=R, residuals=residuals)
 
@@ -140,10 +143,10 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
     Steps: (i) eigenvalues w of P ascending, with eigenvectors; (ii) w[n + i]
     pairs with w[n - 1 - i], and their product must be 1 within
     ``10 * PAIR_TOL``; (iii) the middle eigenvalues that roundoff
-    (8 n eps kappa(P)) cannot tell from 1 form the unit class, split into
-    planes by the complex eigenvectors of J restricted to it, one vector v
-    per plane with lambda = 1; every larger eigenvalue keeps its own v and
-    lambda; (iv) U^T gets columns (v_1, -J v_1, v_2, -J v_2, ...), where
+    (``UNIT_BAND`` n eps kappa(P)) cannot tell from 1 form the unit class,
+    split into planes by the complex eigenvectors of J restricted to it, one
+    vector v per plane with lambda = 1; every larger eigenvalue keeps its
+    own v and lambda; (iv) U^T gets columns (v_1, -J v_1, v_2, -J v_2, ...), where
     -J v is an eigenvector for 1/lambda (from P J = J P^(-1)), with modes
     sorted by lambda descending; (v) U is replaced by its orthogonal polar
     factor, which still commutes with J, so roundoff in the eigenvectors of
@@ -153,23 +156,21 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
     Raises
     ------
     ValueError
-        Input fails the symmetry, definiteness, or symplecticity checks.
+        Input fails the input gate (``checks.symmetric_input``), or is not
+        positive definite or not symplectic.
     PairingError
         Eigenvalues at mirrored positions are not reciprocal; the input was
         not symplectic.
     VerificationError
         The assembled rotation fails its own invariants at ``tol``.
     """
-    P = np.asarray(P, dtype=float)
-    _require_even_square(P)
-    if relative_asymmetry(P) > SYMMETRY_TOL:
-        raise ValueError("input is not symmetric")
+    P = symmetric_input(P, "input")
     symp_rep = is_symplectic(P, tol)
     if not symp_rep.passed:
         raise ValueError(
             f"input is not symplectic (residual {symp_rep.residuals['symplectic']:.3e})"
         )
-    w, V = np.linalg.eigh(0.5 * (P + P.T))
+    w, V = np.linalg.eigh(P)
     if w[0] <= 0.0:
         raise ValueError("input is not positive definite")
     rotation = _rotation_from_eigensystem(P, w, V, tol)
@@ -196,7 +197,7 @@ def _rotation_from_eigensystem(
         )
     # the unit class: the 2k middle eigenvalues that the eigensolver's roundoff,
     # about eps * kappa(P) each, cannot tell from 1; larger ones keep their lambda
-    band = 1.0 + 8.0 * n * _EPS * wf[-1] / wf[0]
+    band = 1.0 + UNIT_BAND * n * EPS * wf[-1] / wf[0]
     k = sum(x <= band for x in wf[n:])
     upper = V[:, n + k :]
     lam = w[n + k :]
@@ -232,6 +233,6 @@ def _rotation_from_eigensystem(
         "rotation_symplectic": rot_rep.residuals["symplectic"],
         "reconstruction": recon,
     }
-    if not rot_rep.passed or recon > tol or lam[-1] < 1.0 - 1e-12:
+    if not rot_rep.passed or recon > tol:
         raise VerificationError(f"rotation diagonalization verification failed: {residuals}")
     return RotationDiagonalization(U=U, lambdas=lam, residuals=residuals)

@@ -2,7 +2,8 @@
 
 One self-describing JSON document format carries covariance matrices in and
 out: named fields ``hbar``, ``ordering``, ``n_A``, ``n_B``, ``sigma`` (row
-major), optional ``mean``.  Matrices are serialized at full precision (the
+major), optional ``mean``; parsing converts ``sigma`` and ``mean`` to the
+interleaved ordering once.  Matrices are serialized at full precision (the
 shortest decimal that round-trips), so parsing a document back reproduces
 the exact floats.  Reports are plain JSON objects built in :mod:`.cli`.
 """
@@ -15,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import SYMMETRY_TOL, relative_asymmetry
-from .phase_space import ModePartition, Ordering, convert_ordering
+from .checks import INGEST_WARN_TOL, relative_asymmetry, symmetric_input
+from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
 from .spectral import CovarianceMatrix
-
-#: Asymmetry beyond this (relative) is silently symmetrized but warned about.
-INGEST_WARN_TOL = 1e-12
 
 
 class DocumentError(ValueError):
@@ -71,10 +69,9 @@ def content_digest(raw: dict) -> str:
 
 @dataclass
 class InputDocument:
-    """Parsed covariance-matrix document, symmetrized and validated."""
+    """Parsed covariance-matrix document, validated, symmetrized and interleaved."""
 
     hbar: float
-    ordering: Ordering
     partition: ModePartition
     sigma: np.ndarray
     mean: np.ndarray
@@ -83,11 +80,10 @@ class InputDocument:
     warnings: list[str] = field(default_factory=list)
 
     def to_covariance(self, hbar_override: float | None = None) -> CovarianceMatrix:
-        """Interleaved CovarianceMatrix, applying an optional hbar override."""
+        """The CovarianceMatrix, applying an optional hbar override."""
         hbar = self.hbar if hbar_override is None else hbar_override
-        sigma = convert_ordering(self.sigma, self.ordering, Ordering.INTERLEAVED)
         try:
-            return CovarianceMatrix(sigma, self.partition, hbar)
+            return CovarianceMatrix(self.sigma, self.partition, hbar)
         except ValueError as exc:
             raise DocumentError(f"sigma is not a covariance matrix: {exc}") from None
 
@@ -95,9 +91,10 @@ class InputDocument:
 def parse_input_document(text: str) -> InputDocument:
     """Parse and validate a covariance-matrix document.
 
-    Raises DocumentError on any schema or consistency violation; an
-    asymmetry between INGEST_WARN_TOL and ``checks.SYMMETRY_TOL`` is repaired
-    by symmetrization and reported in ``warnings``.
+    Raises DocumentError on any schema or consistency violation, including
+    a ``sigma`` that fails ``checks.symmetric_input``; an asymmetry above
+    ``checks.INGEST_WARN_TOL`` that the gate accepts is repaired by it and
+    reported in ``warnings``.  ``sigma`` and ``mean`` come back interleaved.
     """
     raw = _parse_json(text)
     for key in ("n_A", "n_B", "sigma"):
@@ -122,13 +119,14 @@ def parse_input_document(text: str) -> InputDocument:
             f"modes require {partition.dim}x{partition.dim}"
         )
 
+    try:
+        symmetric = symmetric_input(sigma, "sigma")
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
     warnings: list[str] = []
     asym = relative_asymmetry(sigma)
-    if asym > SYMMETRY_TOL:
-        raise DocumentError(f"sigma is not symmetric (relative asymmetry {asym:.3e})")
     if asym > INGEST_WARN_TOL:
         warnings.append(f"sigma symmetrized on ingest (relative asymmetry {asym:.3e})")
-    sigma = 0.5 * (sigma + sigma.T)
 
     if "mean" in raw:
         try:
@@ -146,10 +144,9 @@ def parse_input_document(text: str) -> InputDocument:
 
     return InputDocument(
         hbar=hbar,
-        ordering=ordering,
         partition=partition,
-        sigma=sigma,
-        mean=mean,
+        sigma=convert_ordering(symmetric, ordering, Ordering.INTERLEAVED),
+        mean=convert_vector_ordering(mean, ordering, Ordering.INTERLEAVED),
         digest=content_digest(raw),
         hbar_explicit=hbar_explicit,
         warnings=warnings,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import DEFAULT_TOL, CheckReport, fro, margin_report
+from .checks import DEFAULT_TOL, CheckReport, _require_even_square, fro, margin_report
 
 #: Single-mode symplectic form.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -61,15 +61,6 @@ class ModePartition:
     def dim(self) -> int:
         """Phase-space dimension 2n."""
         return 2 * self.n
-
-
-def _require_even_square(matrix: np.ndarray) -> int:
-    """Validate a 2n x 2n shape and return n."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] % 2 != 0 or matrix.shape[0] == 0:
-        raise ValueError(f"phase-space dimension must be even, got {matrix.shape[0]}")
-    return matrix.shape[0] // 2
 
 
 @functools.lru_cache(maxsize=64)

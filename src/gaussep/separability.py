@@ -24,16 +24,16 @@ import numpy as np
 
 from .checks import (
     DEFAULT_TOL,
-    SYMMETRY_TOL,
+    ROUNDTRIP_TOL,
     CheckReport,
     VerificationError,
     margin_report,
     min_eig_hermitian,
     min_eig_symmetric,
-    relative_asymmetry,
+    symmetric_input,
 )
 from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks
-from .phase_space import _require_even_square, direct_sum, is_symplectic, symplectic_form
+from .phase_space import direct_sum, is_symplectic, symplectic_form
 from .spectral import (
     CovarianceMatrix,
     QuantumConditionError,
@@ -47,9 +47,9 @@ from .spectral import (
 class SeparabilityWitness:
     """Pair (Sigma_A, Sigma_B) certifying Werner-Wolf separability of some Sigma.
 
-    Each block must be symmetric to ``checks.SYMMETRY_TOL``; like
-    ``CovarianceMatrix.sigma`` it is stored as its exact symmetric part,
-    read-only, in the interleaved ordering.
+    Each block must pass ``checks.symmetric_input``; like
+    ``CovarianceMatrix.sigma`` it is stored as the gate's exact symmetric
+    part, read-only, in the interleaved ordering.
     """
 
     sigma_a: np.ndarray
@@ -57,14 +57,8 @@ class SeparabilityWitness:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name, block in (("sigma_a", self.sigma_a), ("sigma_b", self.sigma_b)):
-            block = np.array(block, dtype=float)
-            _require_even_square(block)
-            if relative_asymmetry(block) > SYMMETRY_TOL:
-                raise ValueError(f"{name} is not symmetric")
-            block = 0.5 * (block + block.T)
-            block.setflags(write=False)
-            object.__setattr__(self, name, block)
+        for name in ("sigma_a", "sigma_b"):
+            object.__setattr__(self, name, symmetric_input(getattr(self, name), name))
         if not (self.hbar > 0):
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
@@ -113,7 +107,7 @@ def werner_wolf_check(
             f"witness blocks of {witness.n_a}+{witness.n_b} modes do not match the "
             f"partition {cov.partition.n_a}+{cov.partition.n_b}"
         )
-    if abs(witness.hbar - cov.hbar) > 1e-12 * max(1.0, cov.hbar):
+    if abs(witness.hbar - cov.hbar) > ROUNDTRIP_TOL * max(1.0, cov.hbar):
         raise ValueError(f"hbar mismatch: witness {witness.hbar}, state {cov.hbar}")
 
     half = 0.5 * cov.hbar

@@ -20,22 +20,19 @@ import numpy as np
 
 from .checks import (
     DEFAULT_TOL,
-    SYMMETRY_TOL,
+    EPS,
+    ROUTE_BAND,
+    ROUTE_FLOOR,
+    SPECTRUM_PAIR_TOL,
     CheckReport,
     VerificationError,
     fro,
     margin_report,
     min_eig_hermitian,
-    relative_asymmetry,
     sym_sqrt,
+    symmetric_input,
 )
-from .phase_space import (
-    ModePartition,
-    _complex_frame,
-    _require_even_square,
-    is_symplectic,
-    symplectic_form,
-)
+from .phase_space import ModePartition, _complex_frame, is_symplectic, symplectic_form
 
 
 class QuantumConditionError(ValueError):
@@ -56,12 +53,13 @@ class CovarianceMatrix:
 
     ``sigma`` is in the interleaved ordering ``(x1, p1, ..., xn, pn)``;
     blocked data is converted first (``phase_space.convert_ordering``, or
-    an input document).  It must be symmetric to ``checks.SYMMETRY_TOL``
-    and positive definite, and the stored array is its exact symmetric
-    part ``(sigma + sigma^T) / 2``, read-only, so every later computation
-    sees the same matrix whichever triangle it reads.  The quantum
-    condition is deliberately not part of the type so that non-quantum
-    matrices (for example partial transposes) can still be represented.
+    an input document).  It must pass ``checks.symmetric_input`` (finite,
+    symmetric to ``checks.SYMMETRY_TOL``) and be positive definite, and the
+    stored array is the gate's exact symmetric part, read-only, so every
+    later computation sees the same matrix whichever triangle it reads.
+    The quantum condition is deliberately not part of the type so that
+    non-quantum matrices (for example partial transposes) can still be
+    represented.
     ``hbar`` travels with the data because the quantum verdict depends on
     its numerical value.
     """
@@ -71,22 +69,22 @@ class CovarianceMatrix:
     hbar: float = 1.0
 
     def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float)
-        n = _require_even_square(sigma)
-        if n != self.partition.n:
+        sigma = symmetric_input(self.sigma, "sigma")
+        if sigma.shape[0] != self.partition.dim:
             raise ValueError(
                 f"sigma is {sigma.shape[0]}x{sigma.shape[0]} but the partition "
                 f"has {self.partition.n} modes (expected {self.partition.dim} rows)"
             )
         if not (self.hbar > 0):
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        asym = relative_asymmetry(sigma)
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"sigma is not symmetric (relative asymmetry {asym:.3e})")
-        sigma = 0.5 * (sigma + sigma.T)
-        if np.linalg.eigvalsh(sigma)[0] <= 0.0:
-            raise ValueError("sigma is not positive definite")
-        sigma.setflags(write=False)
+        w = np.linalg.eigvalsh(sigma)
+        if w[0] <= 0.0:
+            if w[0] < -sigma.shape[0] * EPS * w[-1]:
+                raise ValueError("sigma is not positive definite")
+            raise ValueError(
+                f"sigma is not positive definite in float64 (smallest eigenvalue {w[0]:.3e}, "
+                f"largest {w[-1]:.3e}): the float64 matrix is the limit"
+            )
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -126,8 +124,7 @@ def _spectral_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The vectors are always computed: LAPACK's singular values differ in the
     last bits with and without them, and every route must report one spectrum.
     """
-    n = _require_even_square(sigma)
-    root, K = _antisym_core(sigma, n)
+    root, K = _antisym_core(sigma, sigma.shape[0] // 2)
     _, s, Yt = np.linalg.svd(K)
     return root, s, Yt
 
@@ -135,7 +132,7 @@ def _spectral_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _paired_spectrum(s: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, descending, from the paired singular values of K."""
     pair_gap = float(np.max(np.abs(s[0::2] - s[1::2])))
-    if pair_gap > 1e-6 * max(1.0, float(s[0])):
+    if pair_gap > SPECTRUM_PAIR_TOL * max(1.0, float(s[0])):
         raise VerificationError(
             f"singular values of the antisymmetric core failed to pair (gap {pair_gap:.3e})"
         )
@@ -167,7 +164,7 @@ def _quantum_condition(
     nu = _paired_spectrum(core[1])
     nu_gap = float(nu[-1] - 0.5 * cov.hbar)
     scale = cov.scale()
-    band = 10.0 * max(tol, 1e-12) * scale
+    band = ROUTE_BAND * max(tol, ROUTE_FLOOR) * scale
     if abs(margin) > band and abs(nu_gap) > band and (margin > 0) != (nu_gap > 0):
         raise VerificationError(
             f"quantum-condition routes disagree: Hermitian margin {margin:.3e}, "

@@ -37,11 +37,11 @@ def pure_2_2_state() -> CovarianceMatrix:
     return random_covariance(ModePartition(2, 2), seed=5, mix_max=0.0)
 
 
-def antisymmetric_perturbation(matrix: np.ndarray, seed: int) -> np.ndarray:
-    """``matrix`` plus a random antisymmetric term at 0.99 * SYMMETRY_TOL relative asymmetry."""
+def antisymmetric_perturbation(matrix: np.ndarray, seed: int, factor: float = 0.99) -> np.ndarray:
+    """``matrix`` plus a random antisymmetric term at factor * SYMMETRY_TOL relative asymmetry."""
     a = np.random.default_rng(seed).standard_normal(matrix.shape)
     a = a - a.T
-    return matrix + a * (0.99 * SYMMETRY_TOL * max(1.0, fro(matrix)) / fro(2.0 * a))
+    return matrix + a * (factor * SYMMETRY_TOL * max(1.0, fro(matrix)) / fro(2.0 * a))
 
 
 ACCEPTANCE_PARTITIONS = [(1, 1), (1, 2), (2, 2), (2, 3)]

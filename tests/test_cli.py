@@ -20,7 +20,8 @@ from gaussep import (
     werner_wolf_check,
 )
 from gaussep.cli import main
-from gaussep.documents import parse_input_document
+from gaussep.documents import parse_input_document, render_input_document
+from gaussep.phase_space import Ordering
 
 
 def run(capsys, *argv):
@@ -442,3 +443,41 @@ def test_tmsv_demo_script_runs():
     for block in blocks:
         assert "(pass)" in block
         assert "rotated state PPT: ppt" in block
+
+
+def test_blocked_document_with_mean_reports_like_its_interleaved_form(tmp_path, capsys):
+    cov = gaussep.random_covariance(ModePartition(2, 3), hbar=2.0, seed=11, squeeze_max=1.5)
+    mean = np.linspace(-1.0, 2.0, cov.dim)
+    text = render_input_document(cov.sigma, cov.partition, 2.0, Ordering.INTERLEAVED, mean)
+    interleaved = write_doc(tmp_path, "i.json", text)
+    _, blocked, _ = run(capsys, "convert", interleaved, "--to", "blocked")
+    assert json.loads(blocked)["mean"] != mean.tolist()
+    blocked_path = write_doc(tmp_path, "b.json", blocked)
+    code, back, _ = run(capsys, "convert", blocked_path, "--to", "interleaved")
+    assert code == 0 and back == text + "\n"
+    _, again, _ = run(capsys, "convert", write_doc(tmp_path, "back.json", back), "--to", "blocked")
+    assert again == blocked
+    for command in ("validate", "disentangle"):
+        reports = []
+        for path in (blocked_path, interleaved):
+            code, out, _ = run(capsys, command, path, "--json")
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(out).items() if k != "input_digest"})
+        assert reports[0] == reports[1]
+
+
+def test_tmsv_beyond_float64_names_the_limit(tmp_path, capsys):
+    # at r = 10, cosh(2r) and sinh(2r) round to the same double: sigma is singular
+    with pytest.raises(ValueError, match="float64"):
+        two_mode_squeezed_vacuum(10.0)
+    c, s = math.cosh(20.0), math.sinh(20.0)
+    sigma = 0.5 * np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+    path = write_doc(tmp_path, "tmsv10.json", {"n_A": 1, "n_B": 1, "sigma": sigma.tolist()})
+    for command in ("validate", "disentangle"):
+        code, _, err = run(capsys, command, path, "--json")
+        assert code == 2
+        assert "float64" in err and "2.426e+08" in err
+    # a matrix that is indefinite beyond roundoff keeps the plain message
+    indefinite = {"n_A": 1, "n_B": 1, "sigma": np.diag([1.0, -1.0, 1.0, 1.0]).tolist()}
+    code, _, err = run(capsys, "validate", write_doc(tmp_path, "indef.json", indefinite))
+    assert code == 2 and "not positive definite" in err and "float64" not in err
