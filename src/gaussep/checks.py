@@ -119,14 +119,11 @@ def min_eig_symmetric(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
-def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix.
+def sym_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric square root ``v diag(sqrt(w)) v^T`` from the eigensystem of a matrix.
 
-    ``eigh`` reads one triangle only, so ``matrix`` must be exactly
-    symmetric, as every ``CovarianceMatrix.sigma`` is.
+    ``(w, v)`` is the ``eigh`` that ``CovarianceMatrix`` keeps; its constructor
+    has already decided from ``w`` that Sigma is positive definite.
     """
-    w, v = np.linalg.eigh(matrix)
-    if w[0] <= 0.0:
-        raise ValueError("matrix is not positive definite")
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_TOL, POLAR_P_FACTOR, ROUNDTRIP_TOL, VerificationError
+from .checks import DEFAULT_TOL, POLAR_P_FACTOR, ROUNDTRIP_TOL, VerificationError, fro
 from .decomp import symplectic_polar
 from .documents import (
     DocumentError,
@@ -151,7 +151,7 @@ def _reverify_report(report: dict) -> None:
         ok = (
             is_orthosymplectic(R, tol).passed
             and is_symplectic(P, POLAR_P_FACTOR * tol).passed
-            and float(np.linalg.norm(P @ R - S)) <= tol * max(1.0, float(np.linalg.norm(S)))
+            and fro(P @ R - S) <= tol * max(1.0, fro(S))
         )
         if not ok:
             raise VerificationError("serialized polar factors fail re-verification")

@@ -1,20 +1,20 @@
 """Quantum condition, symplectic spectra, and the Williamson normal form.
 
-A real symmetric positive-definite matrix Sigma is the covariance matrix of
-a quantum state exactly when the Hermitian matrix ``Sigma + (i*hbar/2) J``
-is positive semidefinite, equivalently when every symplectic eigenvalue
-nu_k is at least hbar/2.  Both routes are computed here and cross-checked.
-Both rest on the antisymmetric core ``K = Sigma^(1/2) J Sigma^(1/2)``, whose
-singular values list each nu_k twice.  The Williamson construction returns
-a symplectic S with ``S D S^T = Sigma`` and
-``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``; it is built from the eigenvectors
-of the Hermitian ``iK``, which give an orthogonal frame bringing K to its
-2x2 block form, so that only orthogonal transformations touch the data.
+A real symmetric positive-definite matrix Sigma is the covariance matrix of a
+quantum state exactly when the Hermitian matrix ``Sigma + (i*hbar/2) J`` is
+positive semidefinite, equivalently when every symplectic eigenvalue nu_k is
+at least hbar/2.  Both routes, computed here and cross-checked, rest on the
+antisymmetric core ``K = Sigma^(1/2) J Sigma^(1/2)``, whose singular values
+list each nu_k twice; Sigma^(1/2) comes from the eigensystem
+``CovarianceMatrix`` keeps.  The Williamson construction returns a symplectic
+S with ``S D S^T = Sigma``, ``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``, from
+the eigenvectors of the Hermitian ``iK``: they give an orthogonal frame
+bringing K to its 2x2 block form, so only orthogonal maps touch the data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,22 +51,22 @@ class QuantumConditionError(ValueError):
 class CovarianceMatrix:
     """Covariance matrix of an n-mode Gaussian state with its context.
 
-    ``sigma`` is in the interleaved ordering ``(x1, p1, ..., xn, pn)``;
-    blocked data is converted first (``phase_space.convert_ordering``, or
-    an input document).  It must pass ``checks.symmetric_input`` (finite,
-    symmetric to ``checks.SYMMETRY_TOL``) and be positive definite, and the
-    stored array is the gate's exact symmetric part, read-only, so every
-    later computation sees the same matrix whichever triangle it reads.
-    The quantum condition is deliberately not part of the type so that
-    non-quantum matrices (for example partial transposes) can still be
-    represented.
-    ``hbar`` travels with the data because the quantum verdict depends on
-    its numerical value.
+    ``sigma`` is in the interleaved ordering ``(x1, p1, ..., xn, pn)``; blocked
+    data is converted first (``phase_space.convert_ordering``, or an input
+    document).  It must pass ``checks.symmetric_input`` and be positive
+    definite.  The stored array is the gate's exact symmetric part, read-only,
+    so every later computation sees the same matrix whichever triangle it reads.
+    Its ``eigh`` here, the only eigendecomposition of Sigma, decides positive
+    definiteness and is kept, read-only, for every Sigma^(1/2).  The quantum
+    condition is not part of the type, so that non-quantum matrices (for example
+    partial transposes) can be represented.  ``hbar`` travels with the data
+    because the quantum verdict depends on its numerical value.
     """
 
     sigma: np.ndarray
     partition: ModePartition
     hbar: float = 1.0
+    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = symmetric_input(self.sigma, "sigma")
@@ -77,7 +77,7 @@ class CovarianceMatrix:
             )
         if not (self.hbar > 0):
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        w = np.linalg.eigvalsh(sigma)
+        w, V = np.linalg.eigh(sigma)
         if w[0] <= 0.0:
             if w[0] < -sigma.shape[0] * EPS * w[-1]:
                 raise ValueError("sigma is not positive definite")
@@ -85,7 +85,10 @@ class CovarianceMatrix:
                 f"sigma is not positive definite in float64 (smallest eigenvalue {w[0]:.3e}, "
                 f"largest {w[-1]:.3e}): the float64 matrix is the limit"
             )
+        w.setflags(write=False)
+        V.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_eigh", (w, V))
 
     @property
     def n(self) -> int:
@@ -109,14 +112,14 @@ class WilliamsonForm:
     residuals: dict[str, float]
 
 
-def _antisym_core(sigma: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _antisym_core(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Sigma^(1/2) and K = Sigma^(1/2) J Sigma^(1/2), antisymmetrized to kill roundoff drift."""
-    root = sym_sqrt(sigma)
-    K = root @ symplectic_form(n) @ root
+    root = sym_sqrt(*cov._eigh)
+    K = root @ symplectic_form(cov.n) @ root
     return root, 0.5 * (K - K.T)
 
 
-def _spectral_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spectral_core(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sigma^(1/2) and the SVD ``K = X diag(s) Yt`` of K, without X.
 
     The eigenvalues of the antisymmetric K are +-i*nu_k, so the descending
@@ -124,7 +127,7 @@ def _spectral_core(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     The vectors are always computed: LAPACK's singular values differ in the
     last bits with and without them, and every route must report one spectrum.
     """
-    root, K = _antisym_core(sigma, sigma.shape[0] // 2)
+    root, K = _antisym_core(cov)
     _, s, Yt = np.linalg.svd(K)
     return root, s, Yt
 
@@ -141,7 +144,7 @@ def _paired_spectrum(s: np.ndarray) -> np.ndarray:
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of J Sigma, one per mode, sorted descending."""
-    return _paired_spectrum(_spectral_core(cov.sigma)[1])
+    return _paired_spectrum(_spectral_core(cov)[1])
 
 
 def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -160,7 +163,7 @@ def _quantum_condition(
     """``quantum_condition_check``, and the spectrum and ``_spectral_core`` it computes."""
     J = symplectic_form(cov.n)
     margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
-    core = _spectral_core(cov.sigma)
+    core = _spectral_core(cov)
     nu = _paired_spectrum(core[1])
     nu_gap = float(nu[-1] - 0.5 * cov.hbar)
     scale = cov.scale()
@@ -191,13 +194,12 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     Raises
     ------
     ValueError
-        If sigma is not positive definite, or roundoff leaves a symplectic
-        eigenvalue at or below zero (a spectrum too wide for float64).
+        If roundoff leaves a symplectic eigenvalue at or below zero (a
+        spectrum too wide for float64).
     VerificationError
         If a reconstruction or symplecticity residual exceeds ``tol``.
     """
-    sigma = cov.sigma
-    root, K = _antisym_core(sigma, cov.n)
+    root, K = _antisym_core(cov)
     nu, Q = _complex_frame(K)
     if nu[-1] <= 0.0:
         raise ValueError(
@@ -207,7 +209,7 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     S = (root @ Q) / np.sqrt(np.repeat(nu, 2))[None, :]
 
     D = np.diag(np.repeat(nu, 2))
-    recon = fro(S @ D @ S.T - sigma) / fro(sigma)
+    recon = fro(S @ D @ S.T - cov.sigma) / fro(cov.sigma)
     symp = is_symplectic(S, tol).residuals["symplectic"]
     residuals = {"reconstruction": recon, "symplectic": symp}
     if recon > tol or symp > tol:

@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 
-from gaussep import CovarianceMatrix, ModePartition, random_covariance, symplectic_form
+from gaussep import (
+    CovarianceMatrix,
+    ModePartition,
+    random_covariance,
+    random_symplectic,
+    symplectic_form,
+)
 from gaussep.checks import SYMMETRY_TOL, fro
 
 
@@ -35,6 +41,19 @@ def symplectic_spectrum_oracle(sigma: np.ndarray) -> np.ndarray:
 def pure_2_2_state() -> CovarianceMatrix:
     """A pure 2+2 state: every symplectic eigenvalue sits on the quantum limit."""
     return random_covariance(ModePartition(2, 2), seed=5, mix_max=0.0)
+
+
+def raw_random_sigma(partition: ModePartition, seed: int, squeeze_max: float) -> np.ndarray:
+    """The symmetrized sigma ``random_covariance`` (hbar 1, mix_max 1) hands its constructor.
+
+    Strong squeezing puts it at the float64 limit, where the constructor
+    may refuse it; this gives the matrix itself, for a document.
+    """
+    rng = np.random.default_rng(seed)
+    nu = 0.5 * (1.0 + rng.uniform(0.0, 1.0, partition.n))
+    S = random_symplectic(partition.n, rng, squeeze_max)
+    sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
+    return 0.5 * (sigma + sigma.T)
 
 
 def antisymmetric_perturbation(matrix: np.ndarray, seed: int, factor: float = 0.99) -> np.ndarray:

@@ -23,6 +23,8 @@ from gaussep.cli import main
 from gaussep.documents import parse_input_document, render_input_document
 from gaussep.phase_space import Ordering
 
+from helpers import raw_random_sigma
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -215,7 +217,7 @@ class TestDisentangle:
         path = bad_doc(tmp_path)
         code, out, _ = run(capsys, "disentangle", path, "--json")
         assert code == 1
-        cov = parse_input_document(open(path).read()).to_covariance()
+        cov = parse_input_document(Path(path).read_text()).to_covariance()
         assert json.loads(out)["quantum_condition"] == asdict(quantum_condition_check(cov))
 
     def test_text_and_json_carry_identical_numerics(self, tmp_path, capsys):
@@ -477,6 +479,12 @@ def test_tmsv_beyond_float64_names_the_limit(tmp_path, capsys):
         code, _, err = run(capsys, command, path, "--json")
         assert code == 2
         assert "float64" in err and "2.426e+08" in err
+    # a matrix the constructor judges at the limit is refused before any command runs
+    sigma = raw_random_sigma(ModePartition(2, 2), seed=32, squeeze_max=5.5)
+    path = write_doc(tmp_path, "seed32.json", {"n_A": 2, "n_B": 2, "sigma": sigma.tolist()})
+    for command in ("validate", "disentangle"):
+        code, _, err = run(capsys, command, path, "--json")
+        assert code == 2 and "float64" in err
     # a matrix that is indefinite beyond roundoff keeps the plain message
     indefinite = {"n_A": 1, "n_B": 1, "sigma": np.diag([1.0, -1.0, 1.0, 1.0]).tolist()}
     code, _, err = run(capsys, "validate", write_doc(tmp_path, "indef.json", indefinite))

@@ -38,6 +38,20 @@ def test_strongly_squeezed_random_states_disentangle(squeeze):
         _assert_certified(disentangle(cov))
 
 
+@pytest.mark.parametrize("squeeze", [5.5, 6.0, 6.5, 7.0])
+def test_float64_limit_states_fail_naming_the_limit(squeeze):
+    # these states sit at the float64 limit: the constructor refuses some, and a
+    # definiteness verdict, on sigma or on the rotated sigma_U, must say so
+    # rather than fail bare once sigma has been accepted
+    for seed in range(60):
+        try:
+            disentangle(random_covariance(ModePartition(2, 2), seed=seed, squeeze_max=squeeze))
+        except VerificationError:
+            pass
+        except ValueError as exc:
+            assert "float64 matrix is the limit" in str(exc), (seed, str(exc))
+
+
 @pytest.mark.parametrize("r", [5.0, 6.0])
 def test_strong_tmsv_stretch_matches_stored_input(r):
     # the stored matrix holds cosh(2r) and sinh(2r) rounded; its exact stretch is

@@ -10,6 +10,7 @@ from gaussep import (
     ModePartition,
     QuantumConditionError,
     admissible_S,
+    disentangle,
     is_orthosymplectic,
     is_symplectic,
     quantum_condition_check,
@@ -65,6 +66,30 @@ class TestCovarianceMatrix:
             assert np.array_equal(cov.sigma, cov.sigma.T)
             assert np.array_equal(cov.sigma, 0.5 * (sigma + sigma.T))
             assert quantum_condition_check(cov).passed
+
+    def test_float64_limit_is_decided_once(self):
+        # eigvalsh saw +1.1e-8 here and eigh -3.0e-8: two factorizations let the
+        # constructor accept sigma and the square root refuse it
+        with pytest.raises(ValueError, match="float64 matrix is the limit"):
+            random_covariance(ModePartition(2, 2), seed=32, squeeze_max=5.5)
+
+    def test_sigma_is_factorized_once(self, monkeypatch):
+        sigma = random_covariance(ModePartition(2, 2), seed=3).sigma
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def spy(a, *args, _real=real, **kwargs):
+                seen.append(np.array(a, copy=True))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        cov = CovarianceMatrix(sigma, ModePartition(2, 2))
+        assert sum(np.array_equal(a, sigma) for a in seen) == 1
+        seen.clear()
+        disentangle(cov)
+        williamson(cov)
+        assert seen and not any(np.array_equal(a, sigma) for a in seen)
 
 
 class TestQuantumCondition:
