@@ -18,6 +18,7 @@ INGEST_WARN_TOL = 1e-12  #: A document's asymmetry above this is repaired with a
 PAIR_TOL = 1e-8  #: P's mirrored eigenvalues must multiply to 1 within 10x this (reciprocity).
 ROUNDTRIP_TOL = 1e-12  #: Relative match of one float computed twice: hbar, a re-checked margin.
 SPECTRUM_PAIR_TOL = 1e-6  #: Relative gap allowed between the two singular values of K per nu_k.
+FRAME_GROUP_TOL = 1e-3  #: nu_k within this*nu_max share a frame; SVD mixes planes g apart by eps*nu_max/g.
 UNIT_BAND = 8.0  #: Unit band UNIT_BAND*n*EPS*kappa(P): exact units of P spread <= 2.6 eps kappa.
 POLAR_P_FACTOR = 10  #: A polar P, rebuilt from an SVD of S, is symplectic within this times tol.
 ROUTE_BAND = 10.0  #: A route sign clash within ROUTE_BAND*max(tol, ROUTE_FLOOR)*scale is noise.

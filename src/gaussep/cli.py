@@ -289,25 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gaussep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="run the quantum condition and symplectic spectrum")
-    p.add_argument("file", help="input document ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("disentangle", help="construct the disentangling rotation and witness")
-    p.add_argument("file", help="input document ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(func=cmd_disentangle)
-
-    p = sub.add_parser("ppt", help="partial-transpose entanglement test")
-    p.add_argument("file", help="input document ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(func=cmd_ppt)
-
-    p = sub.add_parser("williamson", help="Williamson normal form of the covariance matrix")
-    p.add_argument("file", help="input document ('-' for stdin)")
-    _add_common(p)
-    p.set_defaults(func=cmd_williamson)
+    for name, func, help_text in (
+        ("validate", cmd_validate, "run the quantum condition and symplectic spectrum"),
+        ("disentangle", cmd_disentangle, "construct the disentangling rotation and witness"),
+        ("ppt", cmd_ppt, "partial-transpose entanglement test"),
+        ("williamson", cmd_williamson, "Williamson normal form of the covariance matrix"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="input document ('-' for stdin)")
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("polar", help="symplectic polar decomposition of a matrix document")
     p.add_argument("file", help="matrix document ('-' for stdin)")

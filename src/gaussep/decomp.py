@@ -202,11 +202,9 @@ def _rotation_from_eigensystem(
     upper = V[:, n + k :]
     lam = w[n + k :]
     if k:
-        # an orthonormal frame of this J-invariant class that brings the
-        # restricted form B^T J B to 2x2 blocks consists of (v, -Jv) planes
-        B = V[:, n - k : n + k]
-        C = B.T @ symplectic_form(n) @ B
-        planes = B @ _complex_frame(0.5 * (C - C.T))[1]
+        # an orthonormal frame of this J-invariant class that brings J,
+        # restricted to it, to 2x2 blocks consists of (v, -Jv) planes
+        planes = _complex_frame(V[:, n - k : n + k], symplectic_form(n))[1]
         upper = np.hstack([upper, planes[:, 0::2]])
         lam = np.concatenate([lam, np.ones(k)])
     # every companion is -Jv

@@ -138,22 +138,24 @@ def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complex_frame(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal Q with ``Q^T A Q = (+)_k mu_k J2`` for a real antisymmetric, nonsingular A.
+def _complex_frame(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mu`` descending and ``B Q``, Q orthogonal with ``Q^T C Q = (+)_k mu_k J2``.
 
-    Returns ``mu`` descending and Q.  The Hermitian ``iA`` has eigenvalues
-    +-mu_k; each eigenvector ``a + ib`` for +mu_k gives the columns
-    ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate belongs to -mu_k, so the real
-    and imaginary parts of the positive half are orthonormal after scaling,
-    degenerate mu_k included.
+    ``C = B^T A B``, antisymmetrized, restricts the form A to the A-invariant
+    span of B's orthonormal columns, where A must be nonsingular.  The
+    Hermitian ``iC`` has eigenvalues +-mu_k; each eigenvector ``a + ib`` for
+    +mu_k gives the columns ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate
+    belongs to -mu_k, so the real and imaginary parts of the positive half are
+    orthonormal after scaling, degenerate mu_k included.
     """
-    m = A.shape[0] // 2
-    w, Z = np.linalg.eigh(1j * A)
+    C = B.T @ A @ B
+    m = C.shape[0] // 2
+    w, Z = np.linalg.eigh(1j * (0.5 * (C - C.T)))
     Z = np.sqrt(2.0) * Z[:, m:][:, ::-1]
-    Q = np.empty(A.shape)
+    Q = np.empty(C.shape)
     Q[:, 0::2] = Z.real
     Q[:, 1::2] = -Z.imag
-    return w[m:][::-1], Q
+    return w[m:][::-1], B @ Q
 
 
 def is_symplectic(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:

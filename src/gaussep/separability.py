@@ -150,10 +150,13 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     QuantumConditionError
         The input does not satisfy the quantum condition (not a state); the
         error carries the failing report.
+    ValueError
+        The rotated matrix ``sigma_U`` is not positive definite in float64;
+        the message names ``sigma_U`` and the float64 limit.
     VerificationError
         A downstream stage failed its tolerance; the message names the stage.
     """
-    report, nu, (root, s, Yt) = _quantum_condition(cov, tol)
+    report, nu, (root, _, s, Yt) = _quantum_condition(cov, tol)
     if not report.passed:
         raise QuantumConditionError(
             f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})", report
@@ -175,7 +178,11 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     U = rotation.U
     lam = rotation.lambdas
     half = 0.5 * cov.hbar
-    sigma_U = CovarianceMatrix(U @ cov.sigma @ U.T, cov.partition, cov.hbar)
+    try:
+        sigma_U = CovarianceMatrix(U @ cov.sigma @ U.T, cov.partition, cov.hbar)
+    except ValueError as exc:
+        # the constructor's message names its matrix sigma, which here is not the input
+        raise ValueError(f"the rotated matrix sigma_U{str(exc).removeprefix('sigma')}") from exc
 
     delta_a, delta_b = delta_blocks(lam, cov.partition)
     witness = SeparabilityWitness(half * delta_a @ delta_a, half * delta_b @ delta_b, cov.hbar)

@@ -8,8 +8,9 @@ antisymmetric core ``K = Sigma^(1/2) J Sigma^(1/2)``, whose singular values
 list each nu_k twice; Sigma^(1/2) comes from the eigensystem
 ``CovarianceMatrix`` keeps.  The Williamson construction returns a symplectic
 S with ``S D S^T = Sigma``, ``D = diag(nu_1, nu_1, ..., nu_n, nu_n)``, from
-the eigenvectors of the Hermitian ``iK``: they give an orthogonal frame
-bringing K to its 2x2 block form, so only orthogonal maps touch the data.
+the same SVD of K: its right singular vectors span K's invariant planes, and
+an orthogonal frame of them brings K to its 2x2 block form, so only
+orthogonal maps touch the data and every command reports one spectrum.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .checks import (
     DEFAULT_TOL,
     EPS,
+    FRAME_GROUP_TOL,
     ROUTE_BAND,
     ROUTE_FLOOR,
     SPECTRUM_PAIR_TOL,
@@ -112,24 +114,19 @@ class WilliamsonForm:
     residuals: dict[str, float]
 
 
-def _antisym_core(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma^(1/2) and K = Sigma^(1/2) J Sigma^(1/2), antisymmetrized to kill roundoff drift."""
-    root = sym_sqrt(*cov._eigh)
-    K = root @ symplectic_form(cov.n) @ root
-    return root, 0.5 * (K - K.T)
-
-
-def _spectral_core(cov: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sigma^(1/2) and the SVD ``K = X diag(s) Yt`` of K, without X.
+def _spectral_core(cov: CovarianceMatrix) -> tuple[np.ndarray, ...]:
+    """Sigma^(1/2), K = Sigma^(1/2) J Sigma^(1/2) (antisymmetrized) and ``s, Yt`` of ``svd(K)``.
 
     The eigenvalues of the antisymmetric K are +-i*nu_k, so the descending
     ``s`` lists each nu_k twice; this avoids the non-normal product J Sigma.
     The vectors are always computed: LAPACK's singular values differ in the
     last bits with and without them, and every route must report one spectrum.
     """
-    root, K = _antisym_core(cov)
+    root = sym_sqrt(*cov._eigh)
+    K = root @ symplectic_form(cov.n) @ root
+    K = 0.5 * (K - K.T)
     _, s, Yt = np.linalg.svd(K)
-    return root, s, Yt
+    return root, K, s, Yt
 
 
 def _paired_spectrum(s: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ def _paired_spectrum(s: np.ndarray) -> np.ndarray:
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of J Sigma, one per mode, sorted descending."""
-    return _paired_spectrum(_spectral_core(cov)[1])
+    return _paired_spectrum(_spectral_core(cov)[2])
 
 
 def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -157,14 +154,12 @@ def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> 
     return _quantum_condition(cov, tol)[0]
 
 
-def _quantum_condition(
-    cov: CovarianceMatrix, tol: float
-) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _quantum_condition(cov: CovarianceMatrix, tol: float) -> tuple[CheckReport, np.ndarray, tuple]:
     """``quantum_condition_check``, and the spectrum and ``_spectral_core`` it computes."""
     J = symplectic_form(cov.n)
     margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
     core = _spectral_core(cov)
-    nu = _paired_spectrum(core[1])
+    nu = _paired_spectrum(core[2])
     nu_gap = float(nu[-1] - 0.5 * cov.hbar)
     scale = cov.scale()
     band = ROUTE_BAND * max(tol, ROUTE_FLOOR) * scale
@@ -184,12 +179,13 @@ def _quantum_condition(
 def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonForm:
     """Williamson normal form of a positive-definite covariance matrix.
 
-    Algorithm: one Hermitian eigendecomposition of ``iK`` with
-    ``K = Sigma^(1/2) J Sigma^(1/2)``; its eigenvectors ``a + ib`` for the
-    positive eigenvalues nu_k (descending) give an orthogonal Q with
-    ``Q^T K Q = (+)_k [[0, nu_k], [-nu_k, 0]]`` (columns ``sqrt(2) a`` and
-    ``-sqrt(2) b``), and ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both
-    defining residuals are verified before returning.
+    Algorithm: the SVD ``K = X diag(s) Y^T`` of ``_spectral_core``, with
+    ``K = Sigma^(1/2) J Sigma^(1/2)``, gives nu_k (descending, the spectrum
+    ``symplectic_eigenvalues`` reports) and Y's K-invariant column pairs.  Runs
+    of nu_k closer than ``FRAME_GROUP_TOL`` nu_max share one span, framed by
+    ``_complex_frame`` so that ``Q^T K Q = (+)_k mu_k J2`` with Q orthogonal,
+    and ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both defining residuals are
+    verified before returning.
 
     Raises
     ------
@@ -197,15 +193,20 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
         If roundoff leaves a symplectic eigenvalue at or below zero (a
         spectrum too wide for float64).
     VerificationError
-        If a reconstruction or symplecticity residual exceeds ``tol``.
+        If the singular values of K fail to pair, or a reconstruction or
+        symplecticity residual exceeds ``tol``.
     """
-    root, K = _antisym_core(cov)
-    nu, Q = _complex_frame(K)
+    root, K, s, Yt = _spectral_core(cov)
+    nu = _paired_spectrum(s)
     if nu[-1] <= 0.0:
         raise ValueError(
             f"the symplectic spectrum is too wide for float64: its smallest value "
             f"comes out as {nu[-1]:.3e}"
         )
+    Q = np.empty_like(K)
+    starts = [0] + [k for k in range(1, cov.n) if nu[k - 1] - nu[k] >= FRAME_GROUP_TOL * nu[0]]
+    for a, b in zip(starts, starts[1:] + [cov.n]):
+        Q[:, 2 * a : 2 * b] = _complex_frame(Yt[2 * a : 2 * b].T, K)[1]
     S = (root @ Q) / np.sqrt(np.repeat(nu, 2))[None, :]
 
     D = np.diag(np.repeat(nu, 2))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -489,3 +490,25 @@ def test_tmsv_beyond_float64_names_the_limit(tmp_path, capsys):
     indefinite = {"n_A": 1, "n_B": 1, "sigma": np.diag([1.0, -1.0, 1.0, 1.0]).tolist()}
     code, _, err = run(capsys, "validate", write_doc(tmp_path, "indef.json", indefinite))
     assert code == 2 and "not positive definite" in err and "float64" not in err
+
+
+def test_rotated_matrix_beyond_float64_names_sigma_U(tmp_path, capsys):
+    # the constructor accepts this input, and the rotated sigma_U is at the limit
+    sigma = raw_random_sigma(ModePartition(2, 2), seed=1, squeeze_max=6.0)
+    path = write_doc(tmp_path, "seed1.json", {"n_A": 2, "n_B": 2, "sigma": sigma.tolist()})
+    code, _, err = run(capsys, "disentangle", path, "--json")
+    assert code == 2
+    assert "sigma_U is not" in err and "the float64 matrix is the limit" in err
+
+
+@pytest.mark.parametrize("n_a, n_b, seed", [(2, 3, 3), (25, 25, 7)])
+def test_validate_and_williamson_print_one_spectrum(tmp_path, capsys, n_a, n_b, seed):
+    code, doc, _ = run(capsys, "random", "--nA", str(n_a), "--nB", str(n_b), "--seed", str(seed))
+    assert code == 0
+    path = write_doc(tmp_path, "doc.json", doc)
+    spectra = []
+    for command in ("validate", "williamson"):
+        code, out, _ = run(capsys, command, path, "--json")
+        assert code == 0
+        spectra.append(re.search(r'"symplectic_eigenvalues": \[[^\]]*\]', out).group(0))
+    assert spectra[0] == spectra[1]

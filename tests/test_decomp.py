@@ -166,9 +166,7 @@ def _loop_rotation(P, w, V):
     J = symplectic_form(n)
     modes = [(float(w[i]), V[:, i]) for i in range(n + k, 2 * n)]
     if k:
-        B = V[:, n - k : n + k]
-        C = B.T @ J @ B
-        planes = B @ _complex_frame(0.5 * (C - C.T))[1]
+        planes = _complex_frame(V[:, n - k : n + k], J)[1]
         modes += [(1.0, planes[:, c]) for c in range(0, 2 * k, 2)]
     lam = np.array([mode[0] for mode in modes])
     order = np.argsort(-lam, kind="stable")

@@ -16,7 +16,9 @@ from gaussep import (
     is_symplectic,
     random_covariance,
     random_orthosymplectic,
+    random_symplectic,
     reconstruct,
+    symplectic_eigenvalues,
     symplectic_polar,
     two_mode_squeezed_vacuum,
     werner_wolf_check,
@@ -50,6 +52,13 @@ def test_float64_limit_states_fail_naming_the_limit(squeeze):
             pass
         except ValueError as exc:
             assert "float64 matrix is the limit" in str(exc), (seed, str(exc))
+
+
+def test_rotated_matrix_at_float64_limit_is_named():
+    # the constructor accepts this input; the rotated sigma_U is what sits at the limit
+    cov = random_covariance(ModePartition(2, 2), seed=1, squeeze_max=6.0)
+    with pytest.raises(ValueError, match="sigma_U is not .*the float64 matrix is the limit"):
+        disentangle(cov)
 
 
 @pytest.mark.parametrize("r", [5.0, 6.0])
@@ -149,11 +158,37 @@ def test_strong_tmsv_williamson_residuals(r):
 
 
 def test_williamson_rejects_spectrum_too_wide_for_float64():
-    # positive definite, but its symplectic spectrum spans 16 decades: roundoff puts
-    # the smallest eigenvalue of iK below zero (ValueError), which must not turn into
-    # a NaN S; a LAPACK that rounds it above zero fails the symplectic gate instead
+    # positive definite, but its symplectic spectrum spans 16 decades: roundoff may
+    # leave the smallest singular value of K at zero (ValueError), which must not turn
+    # into a NaN S; a LAPACK that leaves it above zero fails the symplectic gate instead
     O = random_orthosymplectic(2, np.random.default_rng(46))
     sigma = O @ np.diag([3e15, 3e15, 0.5, 0.5]) @ O.T
     cov = CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(1, 1))
     with pytest.raises((ValueError, VerificationError)):
         williamson(cov)
+
+
+@pytest.mark.parametrize("seed", [0, 6, 10, 11, 16])
+def test_wide_spectrum_williamson(seed):
+    # nu from 1/2 to spread/2, spread 2e7: a frame from one eigh of the whole iK fails these
+    spread = 2e7
+    rng = np.random.default_rng(seed)
+    nu = 0.5 * np.exp(rng.uniform(0.0, math.log(spread), 3))
+    nu[0], nu[1] = 0.5, 0.5 * spread
+    S = random_symplectic(3, rng, 1.0)
+    sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
+    cov = CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(1, 2))
+    form = williamson(cov)
+    assert np.array_equal(form.nu, symplectic_eigenvalues(cov))
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+def test_close_symplectic_eigenvalues_share_a_frame(gap):
+    # the SVD mixes the planes of nu = 1 and 1 + gap; too narrow a FRAME_GROUP_TOL
+    # frames them apart and leaves S off symplectic by ~eps * nu_max / gap
+    nu = np.array([1.0, 1.0 + gap, 0.6, 3.0])
+    for seed in range(30):
+        S = random_symplectic(4, np.random.default_rng(seed), 1.0)
+        sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
+        cov = CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(2, 2))
+        assert williamson(cov).residuals["symplectic"] <= 1e-13, seed

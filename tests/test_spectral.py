@@ -205,6 +205,12 @@ class TestWilliamson:
         symp = np.linalg.norm(form.S.T @ J @ form.S - J)
         assert symp <= 1e-10 * max(1.0, np.linalg.norm(form.S) ** 2)
 
+    def test_reports_the_spectrum_of_symplectic_eigenvalues(self):
+        # one SVD of K serves both, so the spectra agree bit for bit
+        for seed in range(200):
+            cov = random_covariance(ModePartition(2, 3), seed=seed)
+            assert np.array_equal(williamson(cov).nu, symplectic_eigenvalues(cov)), seed
+
 
 class TestAdmissibleS:
     def test_vacuum_saturates_inclusion(self):
