@@ -92,6 +92,13 @@ def symmetric_input(matrix, name: str) -> np.ndarray:
     return sym
 
 
+def hbar_input(hbar) -> float:
+    """The hbar gate: ``hbar`` as a float; raises ValueError unless it is finite and positive."""
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be finite and positive, got {hbar}")
+    return float(hbar)
+
+
 def fro(matrix) -> float:
     """Frobenius norm, the norm used by every residual in this package.
 

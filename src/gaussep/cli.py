@@ -34,6 +34,7 @@ from .phase_space import (
     convert_vector_ordering,
     is_orthosymplectic,
     is_symplectic,
+    symplectic_form,
 )
 from .separability import SeparabilityWitness, disentangle, ppt_test, werner_wolf_check
 from .spectral import CovarianceMatrix, QuantumConditionError, _quantum_condition, williamson
@@ -69,13 +70,10 @@ def _load_document(args) -> InputDocument:
 def _load_covariance(args) -> tuple[InputDocument, CovarianceMatrix]:
     """The document and its covariance matrix, with ``--hbar`` applied."""
     doc = _load_document(args)
-    override = args.hbar
-    if override is not None and doc.hbar_explicit and abs(override - doc.hbar) > 0:
-        _warn(
-            f"--hbar {override} overrides the document value {doc.hbar}; "
-            "the verdict depends on hbar"
-        )
-    return doc, doc.to_covariance(override)
+    cov = doc.to_covariance(args.hbar)
+    if args.hbar is not None and doc.hbar_explicit and abs(args.hbar - doc.hbar) > 0:
+        _warn(f"--hbar {args.hbar} overrides the document value {doc.hbar}; the verdict depends on hbar")
+    return doc, cov
 
 
 def _header(command: str, doc: InputDocument, hbar: float, tol: float) -> dict:
@@ -159,7 +157,7 @@ def _reverify_report(report: dict) -> None:
 
 def cmd_validate(args) -> int:
     doc, cov = _load_covariance(args)
-    report, nu, _ = _quantum_condition(cov, args.tol)
+    report, nu, _ = _quantum_condition(cov, args.tol, symplectic_form(cov.n))
     out = _header("validate", doc, cov.hbar, args.tol)
     out["quantum_condition"] = asdict(report)
     out["symplectic_eigenvalues"] = nu.tolist()
@@ -210,10 +208,7 @@ def cmd_ppt(args) -> int:
 
 def cmd_williamson(args) -> int:
     doc, cov = _load_covariance(args)
-    try:
-        form = williamson(cov, args.tol)
-    except ValueError as exc:
-        raise DocumentError(f"sigma admits no Williamson form: {exc}") from None
+    form = williamson(cov, args.tol)
     out = _header("williamson", doc, cov.hbar, args.tol)
     out["symplectic_eigenvalues"] = form.nu.tolist()
     out["S"] = form.S.tolist()
@@ -272,8 +267,19 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` type: a finite float >= 0, so that a bad value exits 2 at parse time."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(parser: argparse.ArgumentParser, with_hbar: bool = True) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="relative tolerance for every gate (default 1e-10)")
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance for every gate (default 1e-10)")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")
     fmt.add_argument("--text", action="store_true", help="human-readable report (default)")
@@ -327,9 +333,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        _warn(str(exc))
-        return EXIT_BAD_INPUT
     except QuantumConditionError as exc:
         _warn(str(exc))
         return EXIT_FAIL

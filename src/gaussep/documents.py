@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import INGEST_WARN_TOL, relative_asymmetry, symmetric_input
+from .checks import INGEST_WARN_TOL, hbar_input, relative_asymmetry, symmetric_input
 from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
 from .spectral import CovarianceMatrix
 
@@ -82,17 +82,15 @@ class InputDocument:
     def to_covariance(self, hbar_override: float | None = None) -> CovarianceMatrix:
         """The CovarianceMatrix, applying an optional hbar override."""
         hbar = self.hbar if hbar_override is None else hbar_override
-        try:
-            return CovarianceMatrix(self.sigma, self.partition, hbar)
-        except ValueError as exc:
-            raise DocumentError(f"sigma is not a covariance matrix: {exc}") from None
+        return CovarianceMatrix(self.sigma, self.partition, hbar)
 
 
 def parse_input_document(text: str) -> InputDocument:
     """Parse and validate a covariance-matrix document.
 
     Raises DocumentError on any schema or consistency violation, including
-    a ``sigma`` that fails ``checks.symmetric_input``; an asymmetry above
+    an ``hbar`` that fails ``checks.hbar_input`` and a ``sigma`` that fails
+    ``checks.symmetric_input``; an asymmetry above
     ``checks.INGEST_WARN_TOL`` that the gate accepts is repaired by it and
     reported in ``warnings``.  ``sigma`` and ``mean`` come back interleaved.
     """
@@ -105,10 +103,8 @@ def parse_input_document(text: str) -> InputDocument:
     partition = ModePartition(n_a, n_b)
 
     hbar_explicit = "hbar" in raw
-    hbar = _as_float(raw.get("hbar", 1.0), "hbar")
-    if hbar <= 0:
-        raise DocumentError(f"field 'hbar' must be positive, got {hbar}")
     try:
+        hbar = hbar_input(_as_float(raw.get("hbar", 1.0), "hbar"))
         ordering = Ordering.parse(raw.get("ordering", "interleaved"))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None

@@ -18,7 +18,7 @@ P together with its eigensystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .checks import (
     ROUNDTRIP_TOL,
     CheckReport,
     VerificationError,
+    hbar_input,
     margin_report,
     min_eig_hermitian,
     min_eig_symmetric,
@@ -38,7 +39,6 @@ from .spectral import (
     CovarianceMatrix,
     QuantumConditionError,
     _quantum_condition,
-    quantum_condition_check,
     williamson,  # noqa: F401  (unused here; bench/test_bench.py traces this binding)
 )
 
@@ -59,8 +59,7 @@ class SeparabilityWitness:
     def __post_init__(self):
         for name in ("sigma_a", "sigma_b"):
             object.__setattr__(self, name, symmetric_input(getattr(self, name), name))
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        object.__setattr__(self, "hbar", hbar_input(self.hbar))
 
     @property
     def n_a(self) -> int:
@@ -156,7 +155,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     VerificationError
         A downstream stage failed its tolerance; the message names the stage.
     """
-    report, nu, (root, _, s, Yt) = _quantum_condition(cov, tol)
+    report, nu, (root, _, s, Yt) = _quantum_condition(cov, tol, symplectic_form(cov.n))
     if not report.passed:
         raise QuantumConditionError(
             f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})", report
@@ -222,19 +221,16 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
 def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """Partial-transpose entanglement detector on the covariance level.
 
-    Flips the sign of every B-mode momentum (Lambda = I_A (+) diag(1,-1)
-    per B mode) and runs the quantum condition on
-    ``Sigma~ = Lambda Sigma Lambda``.  A failure certifies entanglement
-    (``passed`` False).  A pass is PPT-consistency only; it decides
-    separability conclusively just for 1 x m partitions, which the note
-    spells out rather than overclaiming.
+    The partial transpose flips every B momentum (Lambda), and
+    ``Lambda Sigma Lambda + (i*hbar/2) J >= 0`` exactly when
+    ``Sigma + (i*hbar/2) Lambda J Lambda >= 0``, with Lambda J Lambda =
+    J_A (+) -J_B: the quantum condition runs against that form, on Sigma's own
+    eigensystem.  A failure certifies entanglement (``passed`` False).  A pass
+    is PPT-consistency only; it decides separability conclusively just for
+    1 x m partitions, which the note spells out rather than overclaiming.
     """
-    signs = np.ones(cov.dim)
-    signs[2 * cov.partition.n_a + 1 :: 2] = -1.0
-    tilde = CovarianceMatrix(
-        cov.sigma * np.outer(signs, signs), cov.partition, cov.hbar
-    )
-    report = quantum_condition_check(tilde, tol)
+    flipped = direct_sum(symplectic_form(cov.partition.n_a), -symplectic_form(cov.partition.n_b))
+    report = _quantum_condition(cov, tol, flipped)[0]
     residuals = dict(report.residuals)
     residuals["nu_min_tilde"] = residuals.pop("nu_min")
     if report.passed:
@@ -244,11 +240,4 @@ def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
             note = "PPT holds; inconclusive for this partition, no entanglement detected"
     else:
         note = "entangled: partial transpose violates the quantum condition"
-    return CheckReport(
-        passed=report.passed,
-        margin=report.margin,
-        scale=report.scale,
-        tol=report.tol,
-        residuals=residuals,
-        note=note,
-    )
+    return replace(report, residuals=residuals, note=note)

@@ -29,6 +29,7 @@ from .checks import (
     CheckReport,
     VerificationError,
     fro,
+    hbar_input,
     margin_report,
     min_eig_hermitian,
     sym_sqrt,
@@ -61,8 +62,9 @@ class CovarianceMatrix:
     Its ``eigh`` here, the only eigendecomposition of Sigma, decides positive
     definiteness and is kept, read-only, for every Sigma^(1/2).  The quantum
     condition is not part of the type, so that non-quantum matrices (for example
-    partial transposes) can be represented.  ``hbar`` travels with the data
-    because the quantum verdict depends on its numerical value.
+    a matrix below the quantum limit, to be judged by ``quantum_condition_check``)
+    can be represented.  ``hbar`` travels with the data because the quantum
+    verdict depends on its numerical value; it must pass ``checks.hbar_input``.
     """
 
     sigma: np.ndarray
@@ -77,8 +79,7 @@ class CovarianceMatrix:
                 f"sigma is {sigma.shape[0]}x{sigma.shape[0]} but the partition "
                 f"has {self.partition.n} modes (expected {self.partition.dim} rows)"
             )
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        object.__setattr__(self, "hbar", hbar_input(self.hbar))
         w, V = np.linalg.eigh(sigma)
         if w[0] <= 0.0:
             if w[0] < -sigma.shape[0] * EPS * w[-1]:
@@ -114,16 +115,16 @@ class WilliamsonForm:
     residuals: dict[str, float]
 
 
-def _spectral_core(cov: CovarianceMatrix) -> tuple[np.ndarray, ...]:
-    """Sigma^(1/2), K = Sigma^(1/2) J Sigma^(1/2) (antisymmetrized) and ``s, Yt`` of ``svd(K)``.
+def _spectral_core(cov: CovarianceMatrix, form: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sigma^(1/2), K = Sigma^(1/2) F Sigma^(1/2) (antisymmetrized) and ``s, Yt`` of ``svd(K)``.
 
-    The eigenvalues of the antisymmetric K are +-i*nu_k, so the descending
-    ``s`` lists each nu_k twice; this avoids the non-normal product J Sigma.
-    The vectors are always computed: LAPACK's singular values differ in the
-    last bits with and without them, and every route must report one spectrum.
+    F is ``form``: J, or ``ppt_test``'s J_A (+) -J_B.  K's eigenvalues are
+    +-i*nu_k, so the descending ``s`` lists each nu_k twice.  The vectors are
+    always computed: LAPACK's singular values differ in the last bits with
+    and without them, and every route must report one spectrum.
     """
     root = sym_sqrt(*cov._eigh)
-    K = root @ symplectic_form(cov.n) @ root
+    K = root @ form @ root
     K = 0.5 * (K - K.T)
     _, s, Yt = np.linalg.svd(K)
     return root, K, s, Yt
@@ -141,7 +142,7 @@ def _paired_spectrum(s: np.ndarray) -> np.ndarray:
 
 def symplectic_eigenvalues(cov: CovarianceMatrix) -> np.ndarray:
     """Moduli of the eigenvalues of J Sigma, one per mode, sorted descending."""
-    return _paired_spectrum(_spectral_core(cov)[2])
+    return _paired_spectrum(_spectral_core(cov, symplectic_form(cov.n))[2])
 
 
 def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -151,14 +152,13 @@ def quantum_condition_check(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> 
     equivalent route ``min_k nu_k >= hbar/2`` is computed as well; a sign
     disagreement well outside the noise band raises VerificationError.
     """
-    return _quantum_condition(cov, tol)[0]
+    return _quantum_condition(cov, tol, symplectic_form(cov.n))[0]
 
 
-def _quantum_condition(cov: CovarianceMatrix, tol: float) -> tuple[CheckReport, np.ndarray, tuple]:
-    """``quantum_condition_check``, and the spectrum and ``_spectral_core`` it computes."""
-    J = symplectic_form(cov.n)
-    margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * J)
-    core = _spectral_core(cov)
+def _quantum_condition(cov: CovarianceMatrix, tol: float, form: np.ndarray) -> tuple:
+    """The report, spectrum and ``_spectral_core`` of ``Sigma + (i*hbar/2) form >= 0``."""
+    margin = min_eig_hermitian(cov.sigma, 0.5 * cov.hbar * form)
+    core = _spectral_core(cov, form)
     nu = _paired_spectrum(core[2])
     nu_gap = float(nu[-1] - 0.5 * cov.hbar)
     scale = cov.scale()
@@ -196,7 +196,12 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
         If the singular values of K fail to pair, or a reconstruction or
         symplecticity residual exceeds ``tol``.
     """
-    root, K, s, Yt = _spectral_core(cov)
+    return _williamson(cov, tol, _spectral_core(cov, symplectic_form(cov.n)))
+
+
+def _williamson(cov: CovarianceMatrix, tol: float, core: tuple) -> WilliamsonForm:
+    """``williamson`` from a ``_spectral_core`` of ``cov`` against J already computed."""
+    root, K, s, Yt = core
     nu = _paired_spectrum(s)
     if nu[-1] <= 0.0:
         raise ValueError(
@@ -225,10 +230,10 @@ def admissible_S(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Symplectic S mapping the ball of radius sqrt(hbar) into the covariance ellipsoid.
 
     Exists exactly when the quantum condition holds; the returned matrix is
-    the Williamson S, and the inclusion is verified through the equivalent
-    matrix test ``(hbar/2) * lambda_max(S^T Sigma^(-1) S) <= 1``.
+    the Williamson S.  The inclusion ``(hbar/2) * lambda_max(S^T Sigma^(-1) S) <= 1``
+    is checked with a solve, independently of the eigensystem S is built from.
     """
-    report = quantum_condition_check(cov, tol)
+    report, _, core = _quantum_condition(cov, tol, symplectic_form(cov.n))
     if not report.passed:
         raise QuantumConditionError(
             f"no admissible symplectic matrix: quantum condition fails "
@@ -236,7 +241,7 @@ def admissible_S(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"hbar/2 = {0.5 * cov.hbar:.6g})",
             report,
         )
-    form = williamson(cov, tol)
+    form = _williamson(cov, tol, core)
     gram = form.S.T @ np.linalg.solve(cov.sigma, form.S)
     lam_max = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
     if 0.5 * cov.hbar * lam_max > 1.0 + tol:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import DEFAULT_TOL
+from .checks import DEFAULT_TOL, hbar_input
 from .decomp import delta_matrix
 from .phase_space import (
     ModePartition,
@@ -195,8 +195,7 @@ def random_covariance(
     """
     if mix_max < 0:
         raise ValueError("mix_max must be nonnegative")
-    if not hbar > 0:
-        raise ValueError("hbar must be positive")
+    hbar = hbar_input(hbar)
     rng = np.random.default_rng(seed)
     nu = 0.5 * hbar * (1.0 + rng.uniform(0.0, mix_max, partition.n))
     S = random_symplectic(partition.n, rng, squeeze_max)

@@ -18,7 +18,7 @@ from gaussep import (
 )
 from gaussep.checks import SYMMETRY_TOL, fro, min_eig_hermitian, relative_asymmetry
 from gaussep.cli import main
-from gaussep.documents import parse_input_document
+from gaussep.documents import DocumentError, parse_input_document
 from helpers import antisymmetric_perturbation, hermitian_min_eig_oracle
 
 
@@ -128,3 +128,26 @@ def test_every_symmetric_input_passes_one_gate(entry, make, expected, tmp_path, 
     else:
         assert np.array_equal(stored, symmetric)
         assert np.array_equal(stored, stored.T)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("inf"), float("nan")], ids=str)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda hbar: CovarianceMatrix(np.eye(4), ModePartition(1, 1), hbar),
+        lambda hbar: SeparabilityWitness(np.eye(2), np.eye(2), hbar),
+        lambda hbar: random_covariance(ModePartition(1, 1), hbar=hbar, seed=0),
+    ],
+    ids=["CovarianceMatrix", "SeparabilityWitness", "random_covariance"],
+)
+def test_one_hbar_gate_names_hbar(build, hbar):
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        build(hbar)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "NaN", "0", "-1"])
+def test_document_hbar_must_be_finite_and_positive(literal):
+    text = '{"hbar": %s, "n_A": 1, "n_B": 1, "sigma": [[1, 0, 0, 0], [0, 1, 0, 0], ' \
+        '[0, 0, 1, 0], [0, 0, 0, 1]]}' % literal
+    with pytest.raises(DocumentError, match="hbar must be finite and positive"):
+        parse_input_document(text)

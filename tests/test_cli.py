@@ -512,3 +512,49 @@ def test_validate_and_williamson_print_one_spectrum(tmp_path, capsys, n_a, n_b, 
         assert code == 0
         spectra.append(re.search(r'"symplectic_eigenvalues": \[[^\]]*\]', out).group(0))
     assert spectra[0] == spectra[1]
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "abc"])
+@pytest.mark.parametrize("command", ["validate", "disentangle"])
+def test_tol_must_be_finite_and_nonnegative(tmp_path, capsys, command, tol):
+    # 0.1 I is far below the quantum limit: an infinite --tol used to pass it
+    path = write_doc(tmp_path, "low.json", {"n_A": 1, "n_B": 1, "sigma": (0.1 * np.eye(4)).tolist()})
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_tol_zero_is_accepted(tmp_path, capsys):
+    path = write_doc(tmp_path, "thermal.json", {"n_A": 1, "n_B": 1, "sigma": np.eye(4).tolist()})
+    code, out, _ = run(capsys, "validate", path, "--tol", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("hbar", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("command", ["validate", "disentangle", "ppt", "williamson"])
+def test_hbar_override_is_gated_by_name(tmp_path, capsys, command, hbar):
+    code, out, err = run(capsys, command, vacuum_doc(tmp_path), "--hbar", hbar)
+    assert code == 2 and out == ""
+    # the gate's own message alone: no override warning, no sigma prefix
+    assert err.startswith("gaussep: hbar must be finite and positive")
+    assert len(err.splitlines()) == 1
+
+
+def test_random_hbar_is_gated(capsys):
+    code, out, err = run(capsys, "random", "--nA", "1", "--nB", "1", "--hbar", "inf")
+    assert code == 2 and out == ""
+    assert "hbar must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["disentangle"], ["convert", "--to", "blocked"]])
+def test_document_hbar_overflow_exits_2_naming_hbar(tmp_path, capsys, command):
+    path = write_doc(
+        tmp_path, "big.json",
+        '{"hbar": 1e400, "n_A": 1, "n_B": 1, "sigma": %s}' % json.dumps(np.eye(4).tolist()),
+    )
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2 and out == ""
+    assert "hbar must be finite and positive" in err

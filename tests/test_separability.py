@@ -26,6 +26,7 @@ from gaussep import (
     two_mode_squeezed_vacuum,
     werner_wolf_check,
 )
+from gaussep.checks import EPS, fro
 from helpers import (
     acceptance_states,
     antisymmetric_perturbation,
@@ -257,6 +258,38 @@ class TestPptTest:
             0.5 * cov.hbar * d_a @ d_a, 0.5 * cov.hbar * d_b @ d_b, cov.hbar
         )
         assert not werner_wolf_check(cov, witness).passed
+
+    @pytest.mark.parametrize("hbar", [1e-6, 1.0, 1e6])
+    def test_matches_the_partial_transpose_reference(self, hbar):
+        # reference: the quantum condition of the covariance Lambda Sigma Lambda.
+        # The Hermitian route matches it bit for bit.  The SVD of K against the
+        # flipped J is K~ up to the similarity Lambda, which LAPACK's SVD does not
+        # keep bit for bit: here seed 193 at hbar 1e6 moves nu_min by 1 ulp, so
+        # the spectrum gets the backward-error band dim * eps * ||Sigma||.
+        for seed, family_cov in acceptance_states(200):
+            cov = CovarianceMatrix(
+                family_cov.sigma * (hbar / family_cov.hbar), family_cov.partition, hbar
+            )
+            signs = np.ones(cov.dim)
+            signs[2 * cov.partition.n_a + 1 :: 2] = -1.0
+            tilde = CovarianceMatrix(cov.sigma * np.outer(signs, signs), cov.partition, hbar)
+            expected = quantum_condition_check(tilde)
+            report = ppt_test(cov)
+            assert report.passed is expected.passed, seed
+            assert report.margin == expected.margin, seed
+            assert report.residuals.keys() == {"hermitian_min_eig", "nu_min_tilde", "nu_min_gap"}
+            got = report.residuals
+            want = expected.residuals
+            assert got["hermitian_min_eig"] == want["hermitian_min_eig"], seed
+            band = cov.dim * EPS * fro(cov.sigma)
+            assert abs(got["nu_min_tilde"] - want["nu_min"]) <= band, seed
+            assert abs(got["nu_min_gap"] - want["nu_min_gap"]) <= band, seed
+            conclusive = min(cov.partition.n_a, cov.partition.n_b) == 1
+            assert report.note.startswith(
+                "PPT holds; conclusive" if conclusive and expected.passed
+                else "PPT holds; inconclusive" if expected.passed
+                else "entangled"
+            ), seed
 
     def test_inconclusive_note_for_larger_partitions(self):
         cov = CovarianceMatrix(0.5 * np.eye(8), ModePartition(2, 2))

@@ -13,6 +13,7 @@ from gaussep import (
     disentangle,
     is_orthosymplectic,
     is_symplectic,
+    ppt_test,
     quantum_condition_check,
     random_covariance,
     random_symplectic,
@@ -50,6 +51,11 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="hbar"):
             CovarianceMatrix(0.5 * np.eye(4), PART11, hbar=0.0)
 
+    @pytest.mark.parametrize("hbar", [-1.0, math.inf, -math.inf, math.nan], ids=str)
+    def test_rejects_non_finite_or_negative_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be finite and positive"):
+            CovarianceMatrix(0.5 * np.eye(4), PART11, hbar=hbar)
+
     def test_sigma_is_read_only(self):
         cov = CovarianceMatrix(np.eye(4), PART11)
         with pytest.raises(ValueError):
@@ -75,21 +81,36 @@ class TestCovarianceMatrix:
 
     def test_sigma_is_factorized_once(self, monkeypatch):
         sigma = random_covariance(ModePartition(2, 2), seed=3).sigma
-        seen = []
-        for name in ("eigh", "eigvalsh"):
+        seen = {"eigh": [], "eigvalsh": [], "svd": []}
+        for name in seen:
             real = getattr(np.linalg, name)
 
-            def spy(a, *args, _real=real, **kwargs):
-                seen.append(np.array(a, copy=True))
+            def spy(a, *args, _real=real, _seen=seen[name], **kwargs):
+                _seen.append(np.array(a, copy=True))
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
+
+        def symmetric_calls():
+            calls = seen["eigh"] + seen["eigvalsh"]
+            for calls_of_one in seen.values():
+                calls_of_one.clear()
+            return calls
+
         cov = CovarianceMatrix(sigma, ModePartition(2, 2))
-        assert sum(np.array_equal(a, sigma) for a in seen) == 1
-        seen.clear()
+        assert sum(np.array_equal(a, sigma) for a in symmetric_calls()) == 1
         disentangle(cov)
         williamson(cov)
-        assert seen and not any(np.array_equal(a, sigma) for a in seen)
+        calls = symmetric_calls()
+        assert calls and not any(np.array_equal(a, sigma) for a in calls)
+        # the partial transpose is a flip of J: ppt_test reads cov's own eigensystem
+        signs = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0])
+        ppt_test(cov)
+        calls = symmetric_calls()
+        assert calls and not any(np.array_equal(a, sigma * np.outer(signs, signs)) for a in calls)
+        # admissible_S frames K from the SVD its quantum condition took
+        admissible_S(cov)
+        assert len(seen["svd"]) == 1
 
 
 class TestQuantumCondition:
