@@ -11,7 +11,6 @@ from .decomp import (
     PairingError,
     PolarForm,
     RotationDiagonalization,
-    delta_blocks,
     delta_matrix,
     ortho_diagonalize,
     reconstruct,
@@ -77,7 +76,6 @@ __all__ = [
     "build_J",
     "convert_ordering",
     "convert_vector_ordering",
-    "delta_blocks",
     "delta_matrix",
     "direct_sum",
     "disentangle",

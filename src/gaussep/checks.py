@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EPS = float(np.finfo(float).eps)  #: float64 unit roundoff, the unit of every roundoff band.
+TINY = float(np.finfo(float).tiny)  #: Smallest normal float64: a sum of squares below it has lost digits.
+HUGE = float(np.finfo(float).max)  #: Largest float64; an input's norm must stay below half of it.
 DEFAULT_TOL = 1e-10  #: Default relative tolerance of every pass/fail gate (``--tol``).
 SYMMETRY_TOL = 1e-9  #: Largest ``relative_asymmetry`` of an input accepted as symmetric.
 INGEST_WARN_TOL = 1e-12  #: A document's asymmetry above this is repaired with a warning.
@@ -81,9 +83,16 @@ def symmetric_input(matrix, name: str) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     _require_even_square(matrix)
-    # a non-finite entry makes the norm nan or inf, so only then are the entries scanned
-    if not math.isfinite(fro(matrix)) and not np.isfinite(matrix).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    # a non-finite entry makes the norm nan or inf, so only then are the entries scanned;
+    # below HUGE / 2 no entry of M + M^T overflows
+    norm = fro(matrix)
+    if not norm <= 0.5 * HUGE:
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(
+            f"{name} is beyond the float64 range: its norm {norm:.3e} exceeds "
+            f"{0.5 * HUGE:.3e}, half the float64 maximum"
+        )
     asym = relative_asymmetry(matrix)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"{name} is not symmetric (relative asymmetry {asym:.3e})")
@@ -103,10 +112,21 @@ def fro(matrix) -> float:
     """Frobenius norm, the norm used by every residual in this package.
 
     Computed as ``np.linalg.norm`` computes it for real input, without its
-    argument dispatch; every caller passes a real floating-point array.
+    argument dispatch; every caller passes a real floating-point array.  Only
+    where that sum of squares overflows or underflows are the entries scaled by
+    their largest modulus first, so every finite norm comes out finite and
+    every nonzero one nonzero.
     """
     x = np.asarray(matrix).ravel(order="K")
-    return math.sqrt(x.dot(x))
+    # vdot is x.dot(x) without numpy's overflow warning: the overflow is handled here
+    sq = np.vdot(x, x)
+    if TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < peak < math.inf:  # zero, or a non-finite entry
+        return math.sqrt(sq)
+    x = x / peak
+    return peak * math.sqrt(np.vdot(x, x))
 
 
 def relative_asymmetry(matrix) -> float:

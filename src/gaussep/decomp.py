@@ -25,7 +25,6 @@ from .checks import (
     symmetric_input,
 )
 from .phase_space import (
-    ModePartition,
     _complex_frame,
     is_orthosymplectic,
     is_symplectic,
@@ -72,16 +71,6 @@ def _delta_diagonal(lambdas: np.ndarray) -> np.ndarray:
     diag[0::2] = lambdas
     diag[1::2] = 1.0 / lambdas
     return diag
-
-
-def delta_blocks(lambdas, partition: ModePartition) -> tuple[np.ndarray, np.ndarray]:
-    """Split Delta into its A-part (first n_a modes) and B-part."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size != partition.n:
-        raise ValueError(
-            f"{lambdas.size} mode stretches do not match a partition of {partition.n} modes"
-        )
-    return delta_matrix(lambdas[: partition.n_a]), delta_matrix(lambdas[partition.n_a :])
 
 
 def reconstruct(U: np.ndarray, lambdas) -> np.ndarray:

@@ -11,6 +11,7 @@ the exact floats.  Reports are plain JSON objects built in :mod:`.cli`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -37,6 +38,18 @@ def _as_positive_int(raw, key: str) -> int:
     return raw
 
 
+def _require_numbers(entries, key: str) -> None:
+    """Raise unless every entry is a JSON number: an int or a float, not a bool or a string.
+
+    ``np.array(raw, dtype=float)`` would convert ``true`` and ``"1"`` as well.
+    """
+    for entry in entries:
+        if type(entry) not in (int, float):
+            raise DocumentError(
+                f"field {key!r} must hold only numbers, got {type(entry).__name__} {entry!r}"
+            )
+
+
 def _as_matrix(raw, key: str) -> np.ndarray:
     try:
         matrix = np.array(raw, dtype=float)
@@ -44,6 +57,8 @@ def _as_matrix(raw, key: str) -> np.ndarray:
         raise DocumentError(f"field {key!r} is not a numeric matrix: {exc}") from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DocumentError(f"field {key!r} must be a square matrix, got shape {matrix.shape}")
+    # two dimensions: raw is a list of equally long lists of scalars
+    _require_numbers(itertools.chain.from_iterable(raw), key)
     if matrix.shape[0] % 2 != 0 or matrix.shape[0] == 0:
         raise DocumentError(f"field {key!r} must have even positive dimension")
     if not np.all(np.isfinite(matrix)):
@@ -133,6 +148,7 @@ def parse_input_document(text: str) -> InputDocument:
             raise DocumentError(
                 f"mean has shape {mean.shape}, expected ({partition.dim},)"
             )
+        _require_numbers(raw["mean"], "mean")
         if not np.all(np.isfinite(mean)):
             raise DocumentError("field 'mean' contains non-finite entries")
     else:

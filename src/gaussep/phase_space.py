@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,12 +159,32 @@ def _complex_frame(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w[m:][::-1], B @ Q
 
 
+def _gram_operand(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(A, c, scale)`` with ``||M^T F M - T|| / max(1, ||M||^2) = ||A^T F A - c T|| / scale``.
+
+    In range that is ``(M, 1, max(1, ||M||^2))``.  Where ``||M||^2`` overflows
+    (``**`` raises there), it is ``A = M / max|M|`` and ``c = max|M|^-2``, so no
+    product overflows and the ratio stays the same.
+    """
+    try:
+        scale = max(1.0, fro(matrix) ** 2)
+    except OverflowError:
+        scale = math.inf
+    # a non-finite entry fails the check whichever way it is scaled
+    if scale < math.inf or not np.isfinite(matrix).all():
+        return matrix, 1.0, scale
+    peak = float(np.max(np.abs(matrix)))
+    unit = matrix / peak
+    return unit, peak**-2, fro(unit) ** 2
+
+
 def is_symplectic(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check S^T J S = J; the residual is relative to max(1, ||S||^2)."""
     matrix = np.asarray(matrix, dtype=float)
     n = _require_even_square(matrix)
     J = symplectic_form(n)
-    residual = fro(matrix.T @ J @ matrix - J) / max(1.0, fro(matrix) ** 2)
+    unit, c, scale = _gram_operand(matrix)
+    residual = fro(unit.T @ J @ unit - c * J) / scale
     return margin_report(-residual, 1.0, tol, {"symplectic": residual})
 
 
@@ -171,10 +192,10 @@ def is_orthosymplectic(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> CheckRep
     """Check membership in U(n) = Sp(n) intersected with O(2n): both residuals must pass."""
     matrix = np.asarray(matrix, dtype=float)
     n = _require_even_square(matrix)
-    scale = max(1.0, fro(matrix) ** 2)
+    unit, c, scale = _gram_operand(matrix)
     J = symplectic_form(n)
-    r_symp = fro(matrix.T @ J @ matrix - J) / scale
-    r_orth = fro(matrix.T @ matrix - np.eye(2 * n)) / scale
+    r_symp = fro(unit.T @ J @ unit - c * J) / scale
+    r_orth = fro(unit.T @ unit - c * np.eye(2 * n)) / scale
     return margin_report(
         -max(r_symp, r_orth),
         1.0,

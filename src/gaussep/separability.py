@@ -33,7 +33,7 @@ from .checks import (
     min_eig_symmetric,
     symmetric_input,
 )
-from .decomp import _left_polar, _rotation_from_eigensystem, delta_blocks
+from .decomp import _delta_diagonal, _left_polar, _rotation_from_eigensystem
 from .phase_space import direct_sum, is_symplectic, symplectic_form
 from .spectral import (
     CovarianceMatrix,
@@ -77,6 +77,8 @@ class DisentangleResult:
     The reports the pipeline computed on the way are kept as well:
     ``quantum_condition`` for the input, its ``symplectic_eigenvalues``
     (descending) and ``werner_wolf`` for ``witness`` against ``sigma_U``.
+    The witness is one block ``(hbar/2) diag(lambda_k^2, lambda_k^-2)`` per
+    mode, so it certifies ``sigma_U`` as fully n-partite separable, not only A|B.
     """
 
     U: np.ndarray
@@ -136,8 +138,9 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     SVD ``M = Sigma^(1/2) Y s^(-1/2) = W sigma Z^T``; rotation
     diagonalization P = U^T Delta U from the eigensystem (sigma, W); rotated
     matrix Sigma_U = U Sigma U^T; witness blocks (hbar/2) Delta_A^2 and
-    (hbar/2) Delta_B^2.  Every stage is verified: P must be symplectic, U
-    orthosymplectic with U^T Delta U = P, and the squeeze bound
+    (hbar/2) Delta_B^2, one single-mode block per mode, so a pass certifies
+    Sigma_U as fully n-partite separable.  Every stage is verified: P must be
+    symplectic, U orthosymplectic with U^T Delta U = P, and the squeeze bound
     (hbar/2) Delta^2 <= Sigma_U and the full Werner-Wolf check must pass;
     all margins are recorded.  The squeeze bound is Werner-Wolf condition
     (iii) for this witness, so ``squeeze_bound_min_eig`` is read from the
@@ -183,8 +186,10 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
         # the constructor's message names its matrix sigma, which here is not the input
         raise ValueError(f"the rotated matrix sigma_U{str(exc).removeprefix('sigma')}") from exc
 
-    delta_a, delta_b = delta_blocks(lam, cov.partition)
-    witness = SeparabilityWitness(half * delta_a @ delta_a, half * delta_b @ delta_b, cov.hbar)
+    d = _delta_diagonal(lam)
+    w = (half * d) * d
+    cut = 2 * cov.partition.n_a
+    witness = SeparabilityWitness(np.diag(w[:cut]), np.diag(w[cut:]), cov.hbar)
 
     ww = werner_wolf_check(sigma_U, witness, tol)
     # the squeeze bound (hbar/2) Delta^2 <= Sigma_U is Werner-Wolf condition (iii)

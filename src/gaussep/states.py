@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .checks import DEFAULT_TOL, hbar_input
-from .decomp import delta_matrix
+from .decomp import _delta_diagonal
 from .phase_space import (
     ModePartition,
     is_orthosymplectic,
@@ -175,7 +175,7 @@ def random_symplectic(
     S = random_orthosymplectic(n_modes, rng)
     for _ in range(2):
         r = rng.uniform(-squeeze_max, squeeze_max, n_modes)
-        S = S @ delta_matrix(np.exp(r)) @ random_orthosymplectic(n_modes, rng)
+        S = (S * _delta_diagonal(np.exp(r))) @ random_orthosymplectic(n_modes, rng)
     return S
 
 

@@ -8,8 +8,10 @@ from gaussep import (
     CovarianceMatrix,
     ModePartition,
     random_covariance,
+    random_orthosymplectic,
     random_symplectic,
     symplectic_form,
+    two_mode_squeezed_vacuum,
 )
 from gaussep.checks import SYMMETRY_TOL, fro
 
@@ -76,6 +78,31 @@ def acceptance_states(count: int = 200):
             ModePartition(n_a, n_b), hbar=hbar, seed=seed, squeeze_max=1.5, mix_max=2.0
         )
         yield seed, cov
+
+
+def near_unit_corpus(count: int, seed: int = 12345):
+    """Pure states with near-unit stretches under one rotation of all modes: ``(r, cov)`` pairs.
+
+    Each state holds 1-2 copies of TMSV(r), r = 10^U(-14, log10 3), beside 1-3
+    vacua; part A is the copies' first modes and the vacua, part B their second
+    modes.  One ``random_orthosymplectic`` of all modes mixes A and B, so P's
+    near-unit and unit eigenvalue classes share no coordinate axes.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_tmsv = int(rng.integers(1, 3))
+        n_vac = int(rng.integers(1, 4))
+        r = 10.0 ** rng.uniform(-14.0, math.log10(3.0))
+        n = 2 * n_tmsv + n_vac
+        sigma = 0.5 * np.eye(2 * n)
+        tmsv = two_mode_squeezed_vacuum(r).sigma
+        for k in range(n_tmsv):
+            a, b = k, n_tmsv + n_vac + k
+            idx = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
+            sigma[np.ix_(idx, idx)] = tmsv
+        rotation = random_orthosymplectic(n, rng)
+        sigma = rotation @ sigma @ rotation.T
+        yield r, CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(n_tmsv + n_vac, n_tmsv))
 
 
 def assert_valid_quantum(cov: CovarianceMatrix, tol: float = 1e-10) -> None:

@@ -1,5 +1,7 @@
 import ast
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ from gaussep import (
     CovarianceMatrix,
     ModePartition,
     SeparabilityWitness,
+    is_orthosymplectic,
+    is_symplectic,
     ortho_diagonalize,
     random_covariance,
     random_symplectic,
@@ -26,6 +30,36 @@ def test_fro_matches_numpy_norm_bit_for_bit():
     m = np.random.default_rng(0).standard_normal((7, 6))
     for x in (m, m.T, m[::2, 1::2], m[:, 2], m.ravel()):
         assert fro(x) == float(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("peak", [1e200, 1e-200, 1e-310])
+def test_fro_rescales_only_out_of_range(peak):
+    # the plain sum of squares overflows at 1e200 and underflows at 1e-200 and 1e-310
+    m = np.random.default_rng(0).standard_normal((4, 4))
+    expected = fro(m / np.abs(m).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fro(m * (peak / np.abs(m).max()))
+    assert got / peak == pytest.approx(expected, rel=1e-14)
+
+
+def test_fro_of_non_finite_or_zero_entries():
+    assert fro(np.zeros((2, 2))) == 0.0
+    assert fro(np.array([1.0, np.inf])) == np.inf
+    assert math.isnan(fro(np.array([1.0, np.nan])))
+
+
+def test_symplectic_checks_past_the_square_root_of_float64():
+    # ||M||^2 overflows: the relative residual is taken from M / max|M|
+    big = np.diag([1e200, 1e-200, 3e160, 1.0 / 3e160])
+    assert is_symplectic(big).passed
+    assert is_symplectic(big).residuals["symplectic"] == 0.0
+    # 1e200 I: ||M^T J M - J|| / ||M||^2 = ||J|| / ||I||^2 = 1/2 to float64 precision
+    for check in (is_symplectic, is_orthosymplectic):
+        report = check(1e200 * np.eye(4))
+        assert not report.passed
+        assert report.residuals["symplectic"] == 0.5
+    assert is_orthosymplectic(1e200 * np.eye(4)).residuals["orthogonal"] == 0.5
 
 
 def test_min_eig_hermitian_matches_block_embedding():

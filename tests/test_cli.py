@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -558,3 +559,98 @@ def test_document_hbar_overflow_exits_2_naming_hbar(tmp_path, capsys, command):
     code, out, err = run(capsys, command[0], path, *command[1:])
     assert code == 2 and out == ""
     assert "hbar must be finite and positive" in err
+
+
+def run_without_warnings(capsys, *argv):
+    """``run``, asserting that no warning of any kind was issued on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def diagonal_doc(tmp_path, diagonal, hbar=1.0, name="diagonal.json"):
+    return write_doc(
+        tmp_path, name, {"n_A": 1, "n_B": 1, "hbar": hbar, "sigma": np.diag(diagonal).tolist()}
+    )
+
+
+def test_norm_past_the_square_root_of_float64_keeps_the_gate_relative(tmp_path, capsys):
+    # the plain sum of squares of sigma overflows; an infinite scale passed every gate
+    path = diagonal_doc(tmp_path, [1e200, 1e200, 0.1, 0.1])
+    for command in ("validate", "disentangle"):
+        code, out, _ = run_without_warnings(capsys, command, path, "--json")
+        # nu = 0.1 misses hbar/2 by 0.4, inside tol * ||sigma||: a backward-error pass
+        assert code == 0
+        report = json.loads(out)["quantum_condition"]
+        assert report["scale"] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert report["margin"] == pytest.approx(-0.4)
+    code, _, _ = run_without_warnings(capsys, "validate", path, "--tol", "0")
+    assert code == 1
+    # a miss beyond tol * ||sigma|| fails
+    path = diagonal_doc(tmp_path, [1e200, 1e200, 1e191, 1e191], hbar=1e192, name="hbar.json")
+    for command in ("validate", "disentangle"):
+        code, out, _ = run_without_warnings(capsys, command, path, "--json")
+        assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+def test_tiny_vacuum_has_a_williamson_form(tmp_path, capsys):
+    # the plain sum of squares of sigma underflows to 0, which williamson divided by
+    path = diagonal_doc(tmp_path, [1e-200] * 4, hbar=1e-200)
+    for command in ("validate", "disentangle", "williamson"):
+        code, out, _ = run_without_warnings(capsys, command, path, "--json")
+        assert code == 0, command
+    nu = json.loads(out)["symplectic_eigenvalues"]
+    assert nu == pytest.approx([1e-200, 1e-200], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("command", ["validate", "disentangle", "ppt", "williamson"])
+def test_sigma_beyond_float64_range_exits_2_naming_the_limit(tmp_path, capsys, command):
+    # every entry is finite, but sigma + sigma^T is not
+    path = diagonal_doc(tmp_path, [1e308, 1e308, 1.0, 1.0])
+    code, out, err = run_without_warnings(capsys, command, path)
+    assert code == 2 and out == ""
+    assert "beyond the float64 range" in err and "non-finite" not in err
+
+
+IDENTITY = np.eye(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "field, payload",
+    [
+        ("sigma", {"sigma": [[True, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
+        ("sigma", {"sigma": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0], [0, 0, 0, "1.0"]]}),
+        ("sigma", {"sigma": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, None]]}),
+        ("mean", {"sigma": IDENTITY, "mean": ["0", 0, 0, 0]}),
+        ("mean", {"sigma": IDENTITY, "mean": [0, False, 0, 0]}),
+    ],
+    ids=["sigma-bool", "sigma-string", "sigma-null", "mean-string", "mean-bool"],
+)
+def test_document_entries_must_be_json_numbers(tmp_path, capsys, field, payload):
+    path = write_doc(tmp_path, "doc.json", {"n_A": 1, "n_B": 1, **payload})
+    for command in ("validate", "disentangle"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == ""
+        assert f"field '{field}' must hold only numbers" in err
+
+
+@pytest.mark.parametrize("entry", ["true", '"1"'])
+def test_matrix_document_entries_must_be_json_numbers(tmp_path, capsys, entry):
+    path = write_doc(tmp_path, "shear.json", '{"matrix": [[1, 1], [0, %s]]}' % entry)
+    code, out, err = run(capsys, "polar", path)
+    assert code == 2 and out == ""
+    assert "field 'matrix' must hold only numbers" in err
+
+
+def test_polar_of_a_squeezer_past_the_square_root_of_float64(tmp_path, capsys):
+    # ||S||^2 overflows, so the symplectic residuals scale S by its largest entry
+    path = write_doc(tmp_path, "squeezer.json", {"matrix": [[1e200, 0.0], [0.0, 1e-200]]})
+    code, out, _ = run_without_warnings(capsys, "polar", path, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["residuals"]["input_symplectic"] == 0.0
+    P = np.array(report["P"])
+    assert np.array_equal(P, np.diag(np.diag(P)))
+    assert np.diag(P) == pytest.approx([1e200, 1e-200], rel=1e-15, abs=0.0)

@@ -9,7 +9,6 @@ from gaussep import (
     ModePartition,
     PairingError,
     VerificationError,
-    delta_blocks,
     delta_matrix,
     is_orthosymplectic,
     is_symplectic,
@@ -181,16 +180,6 @@ def _loop_rotation(P, w, V):
 class TestDeltaHelpers:
     def test_reconstruct_single_mode(self):
         assert np.allclose(reconstruct(np.eye(2), [2.0]), np.diag([2.0, 0.5]))
-
-    def test_delta_blocks_split(self):
-        e = math.e
-        d_a, d_b = delta_blocks([e, e], ModePartition(1, 1))
-        assert np.allclose(d_a, np.diag([e, 1.0 / e]))
-        assert np.allclose(d_b, np.diag([e, 1.0 / e]))
-
-    def test_delta_blocks_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            delta_blocks([2.0, 3.0], ModePartition(2, 1))
 
     def test_delta_matrix_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gaussep
 from gaussep import (
     CovarianceMatrix,
     ModePartition,
@@ -12,7 +14,7 @@ from gaussep import (
     SeparabilityWitness,
     VerificationError,
     admissible_S,
-    delta_blocks,
+    delta_matrix,
     direct_sum,
     disentangle,
     is_orthosymplectic,
@@ -30,6 +32,7 @@ from gaussep.checks import EPS, fro
 from helpers import (
     acceptance_states,
     antisymmetric_perturbation,
+    near_unit_corpus,
     pure_2_2_state,
     symplectic_spectrum_oracle,
     two_mode_squeezer,
@@ -223,6 +226,56 @@ class TestDisentangle:
         assert a.margin == pytest.approx(b.margin, abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def family_results():
+    """``(cov, disentangle(cov))`` over the acceptance family, its first 100 states at
+    hbar 0.7 (hbar/2 not a power of two, so the order of the roundings shows) and 60
+    near-unit corpus states."""
+    covs = [cov for _, cov in acceptance_states()]
+    covs += [CovarianceMatrix(cov.sigma * (0.7 / cov.hbar), cov.partition, 0.7) for cov in covs[:100]]
+    covs += [cov for _, cov in near_unit_corpus(60)]
+    return [(cov, disentangle(cov)) for cov in covs]
+
+
+class TestPerModeWitness:
+    """The witness is (+)_k (hbar/2) diag(lambda_k^2, lambda_k^-2): one block per mode."""
+
+    def test_matches_the_dense_delta_reference_bit_for_bit(self, family_results):
+        for cov, result in family_results:
+            half = 0.5 * cov.hbar
+            d_a = delta_matrix(result.lambdas[: cov.partition.n_a])
+            d_b = delta_matrix(result.lambdas[cov.partition.n_a :])
+            assert np.array_equal(result.witness.sigma_a, half * d_a @ d_a)
+            assert np.array_equal(result.witness.sigma_b, half * d_b @ d_b)
+
+    def test_every_mode_is_a_minimal_uncertainty_block(self, family_results):
+        for cov, result in family_results:
+            w = direct_sum(result.witness.sigma_a, result.witness.sigma_b)
+            assert np.array_equal(w, np.diag(np.diag(w)))
+            diag = np.diag(w)
+            # det of each 2x2 block is (hbar/2)^2: three roundings per diagonal entry
+            det = diag[0::2] * diag[1::2]
+            assert np.all(np.abs(det / (0.5 * cov.hbar) ** 2 - 1.0) <= 8 * EPS)
+
+    def test_werner_wolf_holds_for_every_contiguous_cut(self, family_results):
+        # the same witness, split at mode m, certifies Sigma_U for the cut m | n - m
+        for cov, result in family_results:
+            w = direct_sum(result.witness.sigma_a, result.witness.sigma_b)
+            for m in range(1, cov.n):
+                cut = CovarianceMatrix(result.sigma_U.sigma, ModePartition(m, cov.n - m), cov.hbar)
+                witness = SeparabilityWitness(w[: 2 * m, : 2 * m], w[2 * m :, 2 * m :], cov.hbar)
+                assert werner_wolf_check(cut, witness).passed, (cov.partition, m)
+
+    def test_no_dense_delta_in_the_pipeline(self):
+        # Delta is applied as its diagonal: the witness and the random squeezes form no
+        # dense Delta, and the helper that split a dense Delta by parts is gone
+        package = Path(gaussep.__file__).parent
+        for name in ("separability.py", "states.py"):
+            assert "delta_matrix" not in (package / name).read_text(), name
+        assert not hasattr(gaussep, "delta_blocks")
+        assert not hasattr(gaussep.decomp, "delta_blocks")
+
+
 class TestPptTest:
     def test_vacuum_passes(self):
         report = ppt_test(CovarianceMatrix(0.5 * np.eye(4), PART11))
@@ -253,7 +306,8 @@ class TestPptTest:
         assert not ppt_test(cov).passed
         S = admissible_S(cov)
         rotation = ortho_diagonalize(symplectic_polar(S).P)
-        d_a, d_b = delta_blocks(rotation.lambdas, cov.partition)
+        d_a = delta_matrix(rotation.lambdas[: cov.partition.n_a])
+        d_b = delta_matrix(rotation.lambdas[cov.partition.n_a :])
         witness = SeparabilityWitness(
             0.5 * cov.hbar * d_a @ d_a, 0.5 * cov.hbar * d_b @ d_b, cov.hbar
         )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaussep import (
     CovarianceMatrix,
+    GaussianState,
     ModePartition,
     QuantumConditionError,
     admissible_S,
@@ -72,6 +73,26 @@ class TestCovarianceMatrix:
             assert np.array_equal(cov.sigma, cov.sigma.T)
             assert np.array_equal(cov.sigma, 0.5 * (sigma + sigma.T))
             assert quantum_condition_check(cov).passed
+
+    def test_norm_past_the_square_root_of_float64_keeps_the_gate_relative(self):
+        # ||Sigma||_F = sqrt(2) 1e200: its plain sum of squares overflows, and an
+        # infinite scale would pass every relative gate
+        cov = CovarianceMatrix(np.diag([1e200, 1e200, 0.1, 0.1]), PART11)
+        assert cov.scale() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        report = quantum_condition_check(cov)
+        assert report.scale == cov.scale()
+        # nu = 0.1 misses hbar/2 by 0.4, well inside tol * ||Sigma||: the backward-error pass
+        assert report.passed and report.margin == pytest.approx(-0.4)
+        assert not quantum_condition_check(cov, tol=0.0).passed
+        # a miss beyond tol * ||Sigma|| fails, and the state model refuses the matrix
+        cov = CovarianceMatrix(np.diag([1e200, 1e200, 1e191, 1e191]), PART11, hbar=1e192)
+        assert not quantum_condition_check(cov).passed
+        with pytest.raises(QuantumConditionError):
+            GaussianState(cov)
+
+    def test_norm_beyond_half_the_float64_range_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="beyond the float64 range"):
+            CovarianceMatrix(np.diag([1e308, 1e308, 1.0, 1.0]), PART11)
 
     def test_float64_limit_is_decided_once(self):
         # eigvalsh saw +1.1e-8 here and eigh -3.0e-8: two factorizations let the

@@ -10,6 +10,7 @@ from gaussep import (
     GaussianState,
     ModePartition,
     QuantumConditionError,
+    delta_matrix,
     disentangle,
     direct_sum,
     is_orthosymplectic,
@@ -254,6 +255,18 @@ class TestRandomFixtures:
     def test_random_symplectics_are_symplectic(self, seed, n):
         rng = np.random.default_rng(seed)
         assert is_symplectic(random_symplectic(n, rng, squeeze_max=1.5), 1e-10).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 25, 50])
+    def test_random_symplectic_matches_the_dense_delta_product(self, n):
+        # the squeezes are applied as column scalings; the dense product S Delta R
+        # from the same RNG stream is the reference, bit for bit
+        for seed in range(10 if n > 5 else 40):
+            rng = np.random.default_rng(seed)
+            S = random_orthosymplectic(n, rng)
+            for _ in range(2):
+                r = rng.uniform(-1.5, 1.5, n)
+                S = S @ delta_matrix(np.exp(r)) @ random_orthosymplectic(n, rng)
+            assert np.array_equal(random_symplectic(n, np.random.default_rng(seed), 1.5), S), seed
 
 
 class TestGaussianState:
