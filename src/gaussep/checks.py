@@ -2,6 +2,10 @@
 
 The table below holds every gate threshold with its reason; ``symmetric_input``
 is the one gate every symmetric phase-space matrix passes on its way in.
+
+Every gate on a quantity that scales with Sigma compares it with ``tol`` times the
+Frobenius norm of the matrix judged, with no floor; only the symplectic group checks
+divide by ``max(1, ||S||^2)``, as ``S^T J S = J`` is not homogeneous: J fixes the unit.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ class CheckReport:
     ``passed`` is equivalent to ``margin >= -tol * scale``.  ``margin`` is
     the signed quantity driving the verdict: a minimum eigenvalue for
     positive-semidefiniteness gates, minus the relative residual for
-    equation gates.  ``residuals`` collects every named diagnostic computed
-    along the way; ``note`` carries human-oriented context (boundary cases,
-    conclusiveness caveats).
+    equation gates.  ``scale`` is ``||Sigma||``, however small, for an eigenvalue
+    margin and 1 for a relative residual.  ``residuals`` collects every named
+    diagnostic computed along the way; ``note`` carries human-oriented context
+    (boundary cases, conclusiveness caveats).
     """
 
     passed: bool
@@ -130,8 +135,9 @@ def fro(matrix) -> float:
 
 
 def relative_asymmetry(matrix) -> float:
-    """``||M - M^T|| / max(1, ||M||)``, which the input gate compares to SYMMETRY_TOL."""
-    return fro(matrix - matrix.T) / max(1.0, fro(matrix))
+    """``||M - M^T|| / ||M||``, which the input gate compares to SYMMETRY_TOL; 0 for M = 0."""
+    norm = fro(matrix)
+    return fro(matrix - matrix.T) / norm if norm else 0.0
 
 
 def min_eig_hermitian(real_part: np.ndarray, imag_part: np.ndarray) -> float:

@@ -135,8 +135,8 @@ def _reverify_report(report: dict) -> None:
             hbar,
         )
         ww = werner_wolf_check(cov, witness, tol)
-        stored = report["werner_wolf"]["margin"]
-        if not ww.passed or abs(ww.margin - stored) > ROUNDTRIP_TOL * max(1.0, abs(stored)):
+        stored = report["werner_wolf"]
+        if not ww.passed or abs(ww.margin - stored["margin"]) > ROUNDTRIP_TOL * stored["scale"]:
             raise VerificationError("serialized witness fails re-verification")
     elif report["command"] == "williamson":
         S = np.array(report["S"], dtype=float)
@@ -149,10 +149,19 @@ def _reverify_report(report: dict) -> None:
         ok = (
             is_orthosymplectic(R, tol).passed
             and is_symplectic(P, POLAR_P_FACTOR * tol).passed
-            and fro(P @ R - S) <= tol * max(1.0, fro(S))
+            and fro(P @ R - S) <= tol * fro(S)
         )
         if not ok:
             raise VerificationError("serialized polar factors fail re-verification")
+
+
+def _fail_not_a_state(out: dict, exc: QuantumConditionError, args) -> int:
+    """Report the failing quantum condition only, with verdict ``fail``: the input is no state."""
+    out["quantum_condition"] = asdict(exc.report)
+    out["verdict"] = "fail"
+    _print_report(out, args)
+    _warn(str(exc))
+    return EXIT_FAIL
 
 
 def cmd_validate(args) -> int:
@@ -168,18 +177,12 @@ def cmd_validate(args) -> int:
 
 def cmd_disentangle(args) -> int:
     doc, cov = _load_covariance(args)
+    out = _header("disentangle", doc, cov.hbar, args.tol)
     try:
         result = disentangle(cov, args.tol)
     except QuantumConditionError as exc:
-        # no partial witness: report the failing quantum condition only
-        out = _header("disentangle", doc, cov.hbar, args.tol)
-        out["quantum_condition"] = asdict(exc.report)
-        out["verdict"] = "fail"
-        _print_report(out, args)
-        _warn(str(exc))
-        return EXIT_FAIL
+        return _fail_not_a_state(out, exc, args)
 
-    out = _header("disentangle", doc, cov.hbar, args.tol)
     out["quantum_condition"] = asdict(result.quantum_condition)
     out["symplectic_eigenvalues"] = result.symplectic_eigenvalues.tolist()
     out["lambdas"] = result.lambdas.tolist()
@@ -198,8 +201,11 @@ def cmd_disentangle(args) -> int:
 
 def cmd_ppt(args) -> int:
     doc, cov = _load_covariance(args)
-    report = ppt_test(cov, args.tol)
     out = _header("ppt", doc, cov.hbar, args.tol)
+    try:
+        report = ppt_test(cov, args.tol)
+    except QuantumConditionError as exc:
+        return _fail_not_a_state(out, exc, args)
     out["ppt"] = asdict(report)
     out["verdict"] = "ppt" if report.passed else "entangled"
     _print_report(out, args)

@@ -164,7 +164,7 @@ def _gram_operand(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     In range that is ``(M, 1, max(1, ||M||^2))``.  Where ``||M||^2`` overflows
     (``**`` raises there), it is ``A = M / max|M|`` and ``c = max|M|^-2``, so no
-    product overflows and the ratio stays the same.
+    product overflows and the ratio stays the same.  The floor at 1 stays: J fixes the unit.
     """
     try:
         scale = max(1.0, fro(matrix) ** 2)

@@ -72,10 +72,11 @@ class SeparabilityWitness:
 
 @dataclass(frozen=True, eq=False)
 class DisentangleResult:
-    """Rotation U, rotated covariance, witness, mode stretches, and all margins.
+    """Rotation U, rotated covariance, witness, mode stretches, and every check.
 
-    The reports the pipeline computed on the way are kept as well:
-    ``quantum_condition`` for the input, its ``symplectic_eigenvalues``
+    ``residuals`` holds the four stage residuals of P and the rotation, which no
+    report carries.  The reports the pipeline computed on the way are kept as
+    well: ``quantum_condition`` for the input, its ``symplectic_eigenvalues``
     (descending) and ``werner_wolf`` for ``witness`` against ``sigma_U``.
     The witness is one block ``(hbar/2) diag(lambda_k^2, lambda_k^-2)`` per
     mode, so it certifies ``sigma_U`` as fully n-partite separable, not only A|B.
@@ -98,7 +99,7 @@ def werner_wolf_check(
 
     (i) Sigma_A + (i*hbar/2) J_A >= 0, (ii) the same for B, and
     (iii) Sigma - Sigma_A (+) Sigma_B >= 0.  The margin is the smallest of
-    the three minimum eigenvalues, gated at ``-tol * max(1, ||Sigma||)``.
+    the three minimum eigenvalues, gated at ``-tol * ||Sigma||``.
     Conditions landing within the gate of zero are flagged in ``note``;
     the witness blocks of the disentangling pipeline are minimal-uncertainty
     states, so (i) and (ii) sit on the boundary by design.
@@ -108,7 +109,7 @@ def werner_wolf_check(
             f"witness blocks of {witness.n_a}+{witness.n_b} modes do not match the "
             f"partition {cov.partition.n_a}+{cov.partition.n_b}"
         )
-    if abs(witness.hbar - cov.hbar) > ROUNDTRIP_TOL * max(1.0, cov.hbar):
+    if abs(witness.hbar - cov.hbar) > ROUNDTRIP_TOL * cov.hbar:
         raise ValueError(f"hbar mismatch: witness {witness.hbar}, state {cov.hbar}")
 
     half = 0.5 * cov.hbar
@@ -139,13 +140,12 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     diagonalization P = U^T Delta U from the eigensystem (sigma, W); rotated
     matrix Sigma_U = U Sigma U^T; witness blocks (hbar/2) Delta_A^2 and
     (hbar/2) Delta_B^2, one single-mode block per mode, so a pass certifies
-    Sigma_U as fully n-partite separable.  Every stage is verified: P must be
-    symplectic, U orthosymplectic with U^T Delta U = P, and the squeeze bound
-    (hbar/2) Delta^2 <= Sigma_U and the full Werner-Wolf check must pass;
-    all margins are recorded.  The squeeze bound is Werner-Wolf condition
-    (iii) for this witness, so ``squeeze_bound_min_eig`` is read from the
-    Werner-Wolf domination margin; its gate is applied first.  The run is
-    deterministic: identical inputs produce identical outputs.
+    Sigma_U as fully n-partite separable.  Every stage is verified once: P must
+    be symplectic, U orthosymplectic with U^T Delta U = P, and the witness must
+    pass the Werner-Wolf check against Sigma_U, whose condition (iii) is the
+    squeeze bound (hbar/2) Delta^2 <= Sigma_U.  Each number is stored once: the
+    margins in the two reports, the other stage residuals in ``residuals``.
+    The run is deterministic: identical inputs produce identical outputs.
 
     Raises
     ------
@@ -156,7 +156,8 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
         The rotated matrix ``sigma_U`` is not positive definite in float64;
         the message names ``sigma_U`` and the float64 limit.
     VerificationError
-        A downstream stage failed its tolerance; the message names the stage.
+        A downstream stage failed its tolerance; the message names the stage,
+        and for the Werner-Wolf check its tightest condition and margin.
     """
     report, nu, (root, _, s, Yt) = _quantum_condition(cov, tol, symplectic_form(cov.n))
     if not report.passed:
@@ -192,24 +193,17 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     witness = SeparabilityWitness(np.diag(w[:cut]), np.diag(w[cut:]), cov.hbar)
 
     ww = werner_wolf_check(sigma_U, witness, tol)
-    # the squeeze bound (hbar/2) Delta^2 <= Sigma_U is Werner-Wolf condition (iii)
-    # for this witness, so its margin is the domination margin
-    squeeze_margin = ww.residuals["domination_min_eig"]
-    if squeeze_margin < -tol * cov.scale():
-        raise VerificationError(
-            f"squeeze bound (hbar/2) Delta^2 <= Sigma_U failed: margin {squeeze_margin:.3e}"
-        )
     if not ww.passed:
-        raise VerificationError(f"witness failed the Werner-Wolf check: margin {ww.margin:.3e}")
+        tightest = min(ww.residuals, key=ww.residuals.get)
+        raise VerificationError(
+            f"witness failed the Werner-Wolf check: {tightest} {ww.residuals[tightest]:.3e}"
+        )
 
     residuals = {
-        "quantum_condition_margin": report.margin,
         "P_symplectic": p_symplectic,
         "rotation_orthogonal": rotation.residuals["rotation_orthogonal"],
         "rotation_symplectic": rotation.residuals["rotation_symplectic"],
         "rotation_reconstruction": rotation.residuals["reconstruction"],
-        "squeeze_bound_min_eig": squeeze_margin,
-        "werner_wolf_margin": ww.margin,
     }
     return DisentangleResult(
         U=U,
@@ -233,7 +227,15 @@ def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     eigensystem.  A failure certifies entanglement (``passed`` False).  A pass
     is PPT-consistency only; it decides separability conclusively just for
     1 x m partitions, which the note spells out rather than overclaiming.
+    A non-state has no partial transpose to judge: the quantum condition
+    against J runs first, and its failure raises QuantumConditionError
+    carrying that report, as in ``disentangle``.
     """
+    state = _quantum_condition(cov, tol, symplectic_form(cov.n))[0]
+    if not state.passed:
+        raise QuantumConditionError(
+            f"cannot run the PPT test: quantum condition fails (margin {state.margin:.3e})", state
+        )
     flipped = direct_sum(symplectic_form(cov.partition.n_a), -symplectic_form(cov.partition.n_b))
     report = _quantum_condition(cov, tol, flipped)[0]
     residuals = dict(report.residuals)

@@ -102,8 +102,8 @@ class CovarianceMatrix:
         return 2 * self.partition.n
 
     def scale(self) -> float:
-        """Norm scale used for relative tolerance gates."""
-        return max(1.0, fro(self.sigma))
+        """``||Sigma||``, the scale of every relative gate on this matrix."""
+        return fro(self.sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,7 @@ def _spectral_core(cov: CovarianceMatrix, form: np.ndarray) -> tuple[np.ndarray,
 def _paired_spectrum(s: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, descending, from the paired singular values of K."""
     pair_gap = float(np.max(np.abs(s[0::2] - s[1::2])))
-    if pair_gap > SPECTRUM_PAIR_TOL * max(1.0, float(s[0])):
+    if pair_gap > SPECTRUM_PAIR_TOL * s[0]:
         raise VerificationError(
             f"singular values of the antisymmetric core failed to pair (gap {pair_gap:.3e})"
         )

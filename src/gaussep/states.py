@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import DEFAULT_TOL, hbar_input
+from .checks import DEFAULT_TOL, HUGE, hbar_input
 from .decomp import _delta_diagonal
 from .phase_space import (
     ModePartition,
@@ -166,16 +166,37 @@ def random_orthosymplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray
     return frame
 
 
+def _draw_bound(value, name: str) -> float:
+    """``value`` as a float; raises ValueError naming ``name`` unless it is finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return float(value)
+
+
+def _overflow(what: str) -> ValueError:
+    """The error for a matrix computed with overflow warnings off that came out non-finite."""
+    return ValueError(f"{what} overflows float64: an entry passes the float64 maximum {HUGE:.3e}")
+
+
 def random_symplectic(
     n_modes: int, rng: np.random.Generator, squeeze_max: float = 1.0
 ) -> np.ndarray:
-    """Random symplectic matrix: rotations alternating with single-mode squeezes."""
-    if squeeze_max < 0:
-        raise ValueError("squeeze_max must be nonnegative")
+    """Random symplectic matrix: rotations alternating with single-mode squeezes.
+
+    Raises ValueError naming ``squeeze_max`` unless it is finite and
+    nonnegative, and naming the float64 limit when the squeezes overflow.
+    """
+    squeeze_max = _draw_bound(squeeze_max, "squeeze_max")
+    what = f"the random symplectic matrix for squeeze_max {squeeze_max:g}"
+    if squeeze_max > 0.5 * HUGE:  # the draw's range 2 * squeeze_max itself overflows
+        raise _overflow(what)
     S = random_orthosymplectic(n_modes, rng)
-    for _ in range(2):
-        r = rng.uniform(-squeeze_max, squeeze_max, n_modes)
-        S = (S * _delta_diagonal(np.exp(r))) @ random_orthosymplectic(n_modes, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            r = rng.uniform(-squeeze_max, squeeze_max, n_modes)
+            S = (S * _delta_diagonal(np.exp(r))) @ random_orthosymplectic(n_modes, rng)
+    if not np.isfinite(S).all():
+        raise _overflow(what)
     return S
 
 
@@ -192,14 +213,22 @@ def random_covariance(
     ``[hbar/2, hbar/2 * (1 + mix_max)]`` and conjugated by a random
     symplectic built from rotations and squeezes with r in
     ``[-squeeze_max, squeeze_max]``.  Deterministic for a fixed seed.
+    Raises ValueError naming ``squeeze_max`` or ``mix_max`` unless it is
+    finite and nonnegative, and naming the float64 limit when Sigma overflows.
     """
-    if mix_max < 0:
-        raise ValueError("mix_max must be nonnegative")
+    mix_max = _draw_bound(mix_max, "mix_max")
     hbar = hbar_input(hbar)
     rng = np.random.default_rng(seed)
-    nu = 0.5 * hbar * (1.0 + rng.uniform(0.0, mix_max, partition.n))
+    with np.errstate(over="ignore"):
+        nu = 0.5 * hbar * (1.0 + rng.uniform(0.0, mix_max, partition.n))
     S = random_symplectic(partition.n, rng, squeeze_max)
-    sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = (S * np.repeat(nu, 2)[None, :]) @ S.T
+    if not np.isfinite(sigma).all():
+        raise _overflow(
+            f"the random covariance matrix for squeeze_max {squeeze_max:g}, "
+            f"mix_max {mix_max:g}, hbar {hbar:g}"
+        )
     return CovarianceMatrix(sigma, partition, hbar)
 
 

@@ -62,7 +62,7 @@ def antisymmetric_perturbation(matrix: np.ndarray, seed: int, factor: float = 0.
     """``matrix`` plus a random antisymmetric term at factor * SYMMETRY_TOL relative asymmetry."""
     a = np.random.default_rng(seed).standard_normal(matrix.shape)
     a = a - a.T
-    return matrix + a * (factor * SYMMETRY_TOL * max(1.0, fro(matrix)) / fro(2.0 * a))
+    return matrix + a * (factor * SYMMETRY_TOL * fro(matrix) / fro(2.0 * a))
 
 
 ACCEPTANCE_PARTITIONS = [(1, 1), (1, 2), (2, 2), (2, 3)]

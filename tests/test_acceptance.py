@@ -251,3 +251,64 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         f"100 random->validate->disentangle pipelines exit 0; malformed exits "
         f"{code_malformed}; quantum-violating exits {code_violating}",
     )
+
+
+SCALINGS = [4.0**k for k in (-40, -20, -5, 5, 20)]
+
+
+def _outcome(func, cov):
+    """``(exception type name or "ok", result)``: the verdict a caller sees."""
+    try:
+        return "ok", func(cov)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, None
+
+
+def _homogeneity_inputs():
+    """Pure 2+2 states shrunk below the quantum limit, acceptance states, and a tiny non-state."""
+    for seed in range(40):
+        pure = random_covariance(ModePartition(2, 2), seed=seed, mix_max=0.0)
+        for shrink in (1.0 - 1e-6, 1.0 - 1e-9):
+            yield f"pure seed {seed} x {shrink!r}", CovarianceMatrix(shrink * pure.sigma, pure.partition)
+    for seed, cov in acceptance_states(40):
+        yield f"acceptance seed {seed}", cov
+    yield "1e-13 I, hbar 1e-12", CovarianceMatrix(1e-13 * np.eye(4), ModePartition(1, 1), 1e-12)
+
+
+def test_criterion_9_verdicts_are_homogeneous_in_sigma_and_hbar():
+    # Sigma + (i hbar/2) J >= 0 and the Werner-Wolf conditions are homogeneous in
+    # (Sigma, hbar); scaling by a power of 4 is exact in float64, so every verdict
+    # must repeat and every number of a pass must scale bit for bit
+    passes = cases = 0
+    for label, cov in _homogeneity_inputs():
+        base_qc = quantum_condition_check(cov)
+        base_ppt = _outcome(ppt_test, cov)
+        base = _outcome(disentangle, cov)
+        for c in SCALINGS:
+            cases += 1
+            scaled = CovarianceMatrix(c * cov.sigma, cov.partition, c * cov.hbar)
+            where = f"{label}, c = {c!r}"
+            qc = quantum_condition_check(scaled)
+            assert qc.passed == base_qc.passed, where
+            assert qc.margin == c * base_qc.margin, where
+            ppt = _outcome(ppt_test, scaled)
+            assert ppt[0] == base_ppt[0], where
+            if ppt[0] == "ok":
+                assert ppt[1].passed == base_ppt[1].passed, where
+                assert ppt[1].margin == c * base_ppt[1].margin, where
+            got = _outcome(disentangle, scaled)
+            assert got[0] == base[0], where
+            if got[0] == "ok":
+                passes += 1
+                result, reference = got[1], base[1]
+                assert np.array_equal(result.U, reference.U), where
+                assert np.array_equal(result.lambdas, reference.lambdas), where
+                assert result.residuals == reference.residuals, where
+                assert result.werner_wolf.margin == c * reference.werner_wolf.margin, where
+                assert result.werner_wolf.passed, where
+    report_line(
+        9,
+        passes > 0,
+        f"{cases} scaled copies (c = 4^k, k in -40..20) keep their verdicts; "
+        f"{passes} passes repeat U and lambda bit for bit",
+    )

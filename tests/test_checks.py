@@ -49,6 +49,14 @@ def test_fro_of_non_finite_or_zero_entries():
     assert math.isnan(fro(np.array([1.0, np.nan])))
 
 
+def test_relative_asymmetry_has_no_unit_floor():
+    # relative to the matrix however small; the zero matrix is symmetric, not a 0/0
+    m = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for c in (2.0**-100, 1.0, 2.0**100):  # exact scalings
+        assert relative_asymmetry(c * m) == relative_asymmetry(m)
+    assert relative_asymmetry(np.zeros((2, 2))) == 0.0
+
+
 def test_symplectic_checks_past_the_square_root_of_float64():
     # ||M||^2 overflows: the relative residual is taken from M / max|M|
     big = np.diag([1e200, 1e-200, 3e160, 1.0 / 3e160])
@@ -90,6 +98,30 @@ def test_no_tolerance_literal_outside_the_table():
             value = getattr(node, "value", None)
             if isinstance(node, ast.Constant) and type(value) is float and 0.0 < value < 1e-3:
                 found.append(f"{path.name}:{node.lineno}: {value!r}")
+    assert not found, found
+
+
+def test_no_unit_floor_outside_the_group_checks():
+    # a gate on a quantity that scales with Sigma divides by the norm of the matrix it
+    # judges; only S^T J S = J, not homogeneous in S, is relative to max(1, ||S||^2)
+    found = []
+    for path in sorted(Path(gaussep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for func in ast.walk(tree):
+            if path.name == "phase_space.py" and getattr(func, "name", None) == "_gram_operand":
+                exempt.update(id(node) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "max"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in (1, 1.0)
+                and id(node) not in exempt
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, found
 
 

@@ -253,6 +253,18 @@ class TestPpt:
             0.5 * math.exp(-2.0), abs=1e-9
         )
 
+    def test_non_state_fails_with_its_quantum_condition(self, tmp_path, capsys):
+        # nu = 0.354 < hbar/2: the verdict is fail, as for disentangle, not entangled
+        code, out, err = run(capsys, "ppt", bad_doc(tmp_path), "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "fail" and "ppt" not in report
+        assert report["quantum_condition"]["passed"] is False
+        # the smallest eigenvalue of [[1, i/2], [-i/2, 1/8]]
+        expected = 0.5 * (1.125 - math.hypot(0.875, 1.0))
+        assert report["quantum_condition"]["margin"] == pytest.approx(expected, rel=1e-12)
+        assert "quantum condition fails" in err
+
 
 class TestWilliamson:
     def test_balanced_squeeze(self, tmp_path, capsys):
@@ -314,6 +326,22 @@ class TestRandomAndConvert:
         path = write_doc(tmp_path, "r.json", out)
         code, _, _ = run(capsys, "validate", path)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--squeeze", v) for v in ("nan", "inf", "400", "720")]
+        + [("--mix", v) for v in ("nan", "inf")],
+    )
+    def test_random_bad_draw_bound_exits_2(self, capsys, flag, value):
+        code, out, err = run_without_warnings(
+            capsys, "random", "--nA", "1", "--nB", "1", "--seed", "0", flag, value
+        )
+        assert code == 2 and out == ""
+        name = {"--squeeze": "squeeze_max", "--mix": "mix_max"}[flag]
+        if value in ("nan", "inf"):
+            assert err.startswith(f"gaussep: {name} must be finite and nonnegative")
+        else:
+            assert "overflows float64" in err and "float64 maximum" in err
+        assert len(err.splitlines()) == 1
 
     def test_random_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "random", "--nA", "2", "--nB", "1", "--seed", "3")
@@ -654,3 +682,28 @@ def test_polar_of_a_squeezer_past_the_square_root_of_float64(tmp_path, capsys):
     P = np.array(report["P"])
     assert np.array_equal(P, np.diag(np.diag(P)))
     assert np.diag(P) == pytest.approx([1e200, 1e-200], rel=1e-15, abs=0.0)
+
+
+def _scaled_doc(tmp_path, name, sigma, hbar, partition):
+    return write_doc(
+        tmp_path, name,
+        {"hbar": hbar, "n_A": partition[0], "n_B": partition[1], "sigma": sigma.tolist()},
+    )
+
+
+def test_tiny_non_states_fail_relative_to_their_own_norm(tmp_path, capsys):
+    # both are below the quantum limit by a margin far above tol * ||sigma||, but
+    # below the tolerance itself: a gate floored at max(1, ||sigma||) passed them
+    c = 4.0**-20
+    pure = gaussep.random_covariance(ModePartition(2, 2), seed=0, mix_max=0.0)
+    docs = [
+        _scaled_doc(tmp_path, "tiny.json", 1e-13 * np.eye(4), 1e-12, (1, 1)),
+        _scaled_doc(tmp_path, "shrunk.json", c * (1.0 - 1e-6) * pure.sigma, c, (2, 2)),
+    ]
+    for path in docs:
+        for command in ("validate", "disentangle"):
+            code, out, _ = run(capsys, command, path, "--json")
+            assert code == 1, (path, command)
+            report = json.loads(out)
+            assert report["verdict"] == "fail"
+            assert report["quantum_condition"]["margin"] < -report["quantum_condition"]["scale"] * 1e-10

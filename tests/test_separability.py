@@ -107,7 +107,7 @@ class TestDisentangle:
             assert np.allclose(result.lambdas, 1.0, atol=1e-12)
             assert np.allclose(result.witness.sigma_a, 0.5 * hbar * np.eye(2), atol=1e-12)
             assert np.allclose(result.witness.sigma_b, 0.5 * hbar * np.eye(2), atol=1e-12)
-            assert result.residuals["werner_wolf_margin"] >= -1e-12
+            assert result.werner_wolf.margin >= -1e-12
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_two_mode_squeezed_vacuum(self, r):
@@ -188,17 +188,12 @@ class TestDisentangle:
         gap = np.linalg.eigvalsh(result.sigma_U.sigma - 0.5 * cov.hbar * delta_sq)[0]
         assert gap >= -1e-9 * np.linalg.norm(cov.sigma)
 
-    def test_squeeze_bound_is_the_domination_margin(self):
-        for _, cov in acceptance_states():
-            result = disentangle(cov)
-            assert (
-                result.residuals["squeeze_bound_min_eig"]
-                == result.werner_wolf.residuals["domination_min_eig"]
-            )
-
     def test_squeeze_bound_gate_raises_first(self):
-        # both gates fail on TMSV r = 7; the squeeze bound names the failure
-        with pytest.raises(VerificationError, match="^squeeze bound"):
+        # the squeeze bound is Werner-Wolf condition (iii), gated once: on TMSV r = 7
+        # the Werner-Wolf error names that condition as the tightest
+        with pytest.raises(
+            VerificationError, match="^witness failed the Werner-Wolf check: domination_min_eig -"
+        ):
             disentangle(two_mode_squeezed_vacuum(7.0))
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -297,6 +292,14 @@ class TestPptTest:
         result = disentangle(two_mode_squeezed_vacuum(1.0))
         report = ppt_test(result.sigma_U)
         assert report.passed
+
+    def test_non_state_raises_with_its_quantum_condition(self):
+        # nu = 0.354 < hbar/2: a non-state has no partial transpose to call entangled
+        cov = CovarianceMatrix(np.diag([1.0, 0.125, 1.0, 0.125]), PART11)
+        with pytest.raises(QuantumConditionError, match="PPT test") as exc:
+            ppt_test(cov)
+        assert exc.value.report == quantum_condition_check(cov)
+        assert not exc.value.report.passed
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
     def test_consistency_with_unrotated_witness(self, r):

@@ -268,6 +268,21 @@ class TestRandomFixtures:
                 S = S @ delta_matrix(np.exp(r)) @ random_orthosymplectic(n, rng)
             assert np.array_equal(random_symplectic(n, np.random.default_rng(seed), 1.5), S), seed
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["squeeze_max", "mix_max"])
+    def test_draw_bounds_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+            random_covariance(PART11, seed=0, **{name: value})
+        if name == "squeeze_max":
+            with pytest.raises(ValueError, match="^squeeze_max must be finite and nonnegative"):
+                random_symplectic(1, np.random.default_rng(0), value)
+
+    @pytest.mark.parametrize("squeeze", [200.0, 400.0, 720.0, 1e308])
+    def test_overflowing_squeeze_names_the_float64_limit(self, squeeze):
+        # RuntimeWarning is an error in this suite, so an overflow warning fails here too
+        with pytest.raises(ValueError, match="overflows float64: .* float64 maximum"):
+            random_covariance(PART11, seed=0, squeeze_max=squeeze)
+
 
 class TestGaussianState:
     def test_rejects_non_quantum_covariance(self):
