@@ -13,7 +13,6 @@ from gaussep import (
     disentangle,
     ppt_test,
     two_mode_squeezed_vacuum,
-    werner_wolf_check,
 )
 
 
@@ -24,7 +23,7 @@ def main() -> None:
         before = ppt_test(cov)
         result = disentangle(cov)
         after = ppt_test(result.sigma_U)
-        ww = werner_wolf_check(result.sigma_U, result.witness)
+        ww = result.werner_wolf
         target = direct_sum(result.witness.sigma_a, result.witness.sigma_b)
         equality_gap = np.linalg.norm(result.sigma_U.sigma - target)
 

@@ -20,10 +20,6 @@ import numpy as np
 
 from .checks import DEFAULT_TOL, CheckReport, _require_even_square, fro, margin_report
 
-#: Single-mode symplectic form.
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 class Ordering(enum.Enum):
     """Phase-space variable ordering tag."""
 
@@ -73,7 +69,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
-    # filled rather than np.kron(I, J2), which writes -0.0 off the diagonal blocks
+    # filled rather than a Kronecker product, which writes -0.0 off the diagonal blocks
     J = np.zeros((2 * n_modes, 2 * n_modes))
     x = np.arange(0, 2 * n_modes, 2)
     J[x, x + 1] = 1.0
@@ -140,14 +136,15 @@ def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
 
 
 def _complex_frame(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mu`` descending and ``B Q``, Q orthogonal with ``Q^T C Q = (+)_k mu_k J2``.
+    """``mu`` descending and ``B Q``, Q orthogonal with ``Q^T C Q = (+)_k mu_k J_1``.
 
     ``C = B^T A B``, antisymmetrized, restricts the form A to the A-invariant
     span of B's orthonormal columns, where A must be nonsingular.  The
     Hermitian ``iC`` has eigenvalues +-mu_k; each eigenvector ``a + ib`` for
     +mu_k gives the columns ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate
     belongs to -mu_k, so the real and imaginary parts of the positive half are
-    orthonormal after scaling, degenerate mu_k included.
+    orthonormal after scaling, degenerate mu_k included.  ``J_1`` is
+    ``symplectic_form(1)``.
     """
     C = B.T @ A @ B
     m = C.shape[0] // 2

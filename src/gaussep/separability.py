@@ -37,8 +37,8 @@ from .decomp import _delta_diagonal, _left_polar, _rotation_from_eigensystem
 from .phase_space import direct_sum, is_symplectic, symplectic_form
 from .spectral import (
     CovarianceMatrix,
-    QuantumConditionError,
     _quantum_condition,
+    _require_state,
     williamson,  # noqa: F401  (unused here; bench/test_bench.py traces this binding)
 )
 
@@ -133,8 +133,8 @@ def werner_wolf_check(
 def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleResult:
     """Construct a symplectic rotation making the state certifiably separable.
 
-    Pipeline: the quantum condition and the SVD ``K = X s Y^T`` of
-    ``K = Sigma^(1/2) J Sigma^(1/2)``; the positive factor
+    Pipeline: the statehood gate ``spectral._require_state`` with its SVD
+    ``K = X s Y^T`` of ``K = Sigma^(1/2) J Sigma^(1/2)``; the positive factor
     ``P = (S S^T)^(1/2) = W diag(sigma) W^T`` of every admissible S from the
     SVD ``M = Sigma^(1/2) Y s^(-1/2) = W sigma Z^T``; rotation
     diagonalization P = U^T Delta U from the eigensystem (sigma, W); rotated
@@ -159,11 +159,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
         A downstream stage failed its tolerance; the message names the stage,
         and for the Werner-Wolf check its tightest condition and margin.
     """
-    report, nu, (root, _, s, Yt) = _quantum_condition(cov, tol, symplectic_form(cov.n))
-    if not report.passed:
-        raise QuantumConditionError(
-            f"cannot disentangle: quantum condition fails (margin {report.margin:.3e})", report
-        )
+    report, nu, (root, _, s, Yt) = _require_state(cov, tol, "cannot disentangle")
     # M = Sigma^(1/2) Y s^(-1/2) has M M^T = S S^T for every admissible S
     P, stretch, W, _ = _left_polar((root @ Yt.T) / np.sqrt(s))
     p_symplectic = is_symplectic(P, tol).residuals["symplectic"]
@@ -227,15 +223,16 @@ def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     eigensystem.  A failure certifies entanglement (``passed`` False).  A pass
     is PPT-consistency only; it decides separability conclusively just for
     1 x m partitions, which the note spells out rather than overclaiming.
-    A non-state has no partial transpose to judge: the quantum condition
-    against J runs first, and its failure raises QuantumConditionError
-    carrying that report, as in ``disentangle``.
+    A non-state has no partial transpose to judge: the statehood gate
+    ``spectral._require_state`` runs first, as in ``disentangle``, and raises
+    QuantumConditionError carrying the failing report.
     """
-    state = _quantum_condition(cov, tol, symplectic_form(cov.n))[0]
-    if not state.passed:
-        raise QuantumConditionError(
-            f"cannot run the PPT test: quantum condition fails (margin {state.margin:.3e})", state
-        )
+    _require_state(cov, tol, "cannot run the PPT test")
+    return _ppt(cov, tol)
+
+
+def _ppt(cov: CovarianceMatrix, tol: float) -> CheckReport:
+    """``ppt_test`` for a ``cov`` that has passed the statehood gate at ``tol``."""
     flipped = direct_sum(symplectic_form(cov.partition.n_a), -symplectic_form(cov.partition.n_b))
     report = _quantum_condition(cov, tol, flipped)[0]
     residuals = dict(report.residuals)

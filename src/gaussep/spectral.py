@@ -176,6 +176,19 @@ def _quantum_condition(cov: CovarianceMatrix, tol: float, form: np.ndarray) -> t
     return margin_report(margin, scale, tol, residuals), nu, core
 
 
+def _require_state(cov: CovarianceMatrix, tol: float, what: str) -> tuple:
+    """``_quantum_condition`` against J, the one statehood gate; a non-state raises
+    QuantumConditionError("{what}: quantum condition fails (margin, nu_min, hbar/2)", report)."""
+    report, nu, core = _quantum_condition(cov, tol, symplectic_form(cov.n))
+    if not report.passed:
+        raise QuantumConditionError(
+            f"{what}: quantum condition fails (margin {report.margin:.3e}, "
+            f"nu_min {report.residuals['nu_min']:.6g}, hbar/2 = {0.5 * cov.hbar:.6g})",
+            report,
+        )
+    return report, nu, core
+
+
 def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonForm:
     """Williamson normal form of a positive-definite covariance matrix.
 
@@ -183,7 +196,7 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
     ``K = Sigma^(1/2) J Sigma^(1/2)``, gives nu_k (descending, the spectrum
     ``symplectic_eigenvalues`` reports) and Y's K-invariant column pairs.  Runs
     of nu_k closer than ``FRAME_GROUP_TOL`` nu_max share one span, framed by
-    ``_complex_frame`` so that ``Q^T K Q = (+)_k mu_k J2`` with Q orthogonal,
+    ``_complex_frame`` so that ``Q^T K Q = (+)_k mu_k J_1`` with Q orthogonal,
     and ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both defining residuals are
     verified before returning.
 
@@ -233,15 +246,7 @@ def admissible_S(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     the Williamson S.  The inclusion ``(hbar/2) * lambda_max(S^T Sigma^(-1) S) <= 1``
     is checked with a solve, independently of the eigensystem S is built from.
     """
-    report, _, core = _quantum_condition(cov, tol, symplectic_form(cov.n))
-    if not report.passed:
-        raise QuantumConditionError(
-            f"no admissible symplectic matrix: quantum condition fails "
-            f"(margin {report.margin:.3e}, nu_min {report.residuals['nu_min']:.6g}, "
-            f"hbar/2 = {0.5 * cov.hbar:.6g})",
-            report,
-        )
-    form = _williamson(cov, tol, core)
+    form = _williamson(cov, tol, _require_state(cov, tol, "no admissible symplectic matrix")[2])
     gram = form.S.T @ np.linalg.solve(cov.sigma, form.S)
     lam_max = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[-1])
     if 0.5 * cov.hbar * lam_max > 1.0 + tol:

@@ -22,14 +22,15 @@ from .phase_space import (
     is_symplectic,
     symplectic_form,
 )
-from .spectral import CovarianceMatrix, QuantumConditionError, quantum_condition_check
+from .spectral import CovarianceMatrix, _require_state
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
-    """Gaussian quantum state (Sigma, mean); the quantum condition is enforced.
+    """Gaussian quantum state (Sigma, mean); the statehood gate enforces the quantum condition.
 
-    ``mean`` is in the interleaved ordering of ``cov`` and defaults to zero.
+    ``mean`` is in the interleaved ordering of ``cov``, defaults to zero and
+    must be finite.
     """
 
     cov: CovarianceMatrix
@@ -43,11 +44,9 @@ class GaussianState:
         mean = np.array(mean, dtype=float)
         if mean.shape != (cov.dim,):
             raise ValueError(f"mean has shape {mean.shape}, expected ({cov.dim},)")
-        report = quantum_condition_check(cov)
-        if not report.passed:
-            raise QuantumConditionError(
-                f"covariance matrix is not a quantum state (margin {report.margin:.3e})", report
-            )
+        if not np.isfinite(mean).all():
+            raise ValueError("mean contains non-finite entries")
+        _require_state(cov, DEFAULT_TOL, "covariance matrix is not a quantum state")
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
 
@@ -100,7 +99,7 @@ def rotate_state(state: GaussianState, U: np.ndarray, tol: float = DEFAULT_TOL) 
     Restricted to rotations on purpose; use :func:`push_symplectic` for a
     general symplectic transformation.
     """
-    U = np.asarray(U, dtype=float)
+    U = _operand(state, U)
     report = is_orthosymplectic(U, tol)
     if not report.passed:
         raise ValueError(
@@ -112,13 +111,24 @@ def rotate_state(state: GaussianState, U: np.ndarray, tol: float = DEFAULT_TOL) 
 
 def push_symplectic(state: GaussianState, S: np.ndarray, tol: float = DEFAULT_TOL) -> GaussianState:
     """Symplectic pushforward Sigma -> S Sigma S^T, mean -> S mean."""
-    S = np.asarray(S, dtype=float)
+    S = _operand(state, S)
     report = is_symplectic(S, tol)
     if not report.passed:
         raise ValueError(
             f"matrix is not symplectic (residual {report.residuals['symplectic']:.3e})"
         )
     return _congruence(state, S)
+
+
+def _operand(state: GaussianState, T) -> np.ndarray:
+    """``T`` as a float array; raises ValueError naming both dimensions unless it is 2n x 2n."""
+    T = np.asarray(T, dtype=float)
+    dim = state.cov.dim
+    if T.shape != (dim, dim):
+        raise ValueError(
+            f"matrix shape {T.shape} does not match the {state.n}-mode state ({dim}x{dim})"
+        )
+    return T
 
 
 def _congruence(state: GaussianState, T: np.ndarray) -> GaussianState:

@@ -125,6 +125,26 @@ def test_no_unit_floor_outside_the_group_checks():
     assert not found, found
 
 
+def test_quantum_condition_error_is_raised_by_the_one_gate_only():
+    # statehood is decided in spectral._require_state; every caller goes through it
+    found = []
+    for path in sorted(Path(gaussep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        gate = set()
+        for func in ast.walk(tree):
+            if path.name == "spectral.py" and getattr(func, "name", None) == "_require_state":
+                gate.update(id(node) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "QuantumConditionError"
+            ):
+                where = "gate" if id(node) in gate else f"{path.name}:{node.lineno}"
+                found.append(where)
+    assert found == ["gate"], found
+
+
 def _symplectic_positive(seed):
     # S S^T of a symplectic S: a positive symplectic P and, at hbar = 1, a valid covariance
     S = random_symplectic(2, np.random.default_rng(seed))

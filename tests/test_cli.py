@@ -707,3 +707,87 @@ def test_tiny_non_states_fail_relative_to_their_own_norm(tmp_path, capsys):
             report = json.loads(out)
             assert report["verdict"] == "fail"
             assert report["quantum_condition"]["margin"] < -report["quantum_condition"]["scale"] * 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, payload, expected",
+    [
+        (["validate"], "[1, 2]", "document must be a JSON object"),
+        (
+            ["validate"],
+            {"sigma": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+            "field 'sigma' is not a numeric matrix",
+        ),
+        (
+            ["validate"],
+            {"sigma": [[1, 0], [0, 1], [0, 0], [0, 0]]},
+            "field 'sigma' must be a square matrix, got shape (4, 2)",
+        ),
+        (["disentangle"], {"sigma": IDENTITY, "mean": [0, 0, 0]}, "mean has shape (3,), expected (4,)"),
+        # Python's json reads the NaN literal
+        (
+            ["disentangle"],
+            '{"n_A": 1, "n_B": 1, "sigma": %s, "mean": [0, NaN, 0, 0]}' % IDENTITY,
+            "field 'mean' contains non-finite entries",
+        ),
+        (["ppt"], {"sigma": IDENTITY, "hbar": "1"}, "field 'hbar' must be a number, got str"),
+        (["polar"], {"matrix": [[1, 0], [0, 1]], "ordering": "weird"}, "unknown ordering 'weird'"),
+        (["williamson"], None, "cannot read"),
+    ],
+    ids=[
+        "top-level-array", "ragged-sigma", "non-square-sigma", "mean-shape", "mean-nan",
+        "hbar-string", "polar-ordering", "unreadable-path",
+    ],
+)
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, payload, expected):
+    if payload is None:
+        path = str(tmp_path / "missing.json")
+    elif isinstance(payload, dict) and "matrix" not in payload:
+        path = write_doc(tmp_path, "doc.json", {"n_A": 1, "n_B": 1, **payload})
+    else:
+        path = write_doc(tmp_path, "doc.json", payload)
+    code, out, err = run_without_warnings(capsys, *argv, path, "--json")
+    assert code == 2 and out == ""
+    assert expected in err
+
+
+#: Every numpy.linalg factorization and solve, as the benchmark's trace counts them.
+LINALG_FACTORIZATIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "cholesky")
+
+
+def _count_factorizations(monkeypatch) -> dict:
+    counts = dict.fromkeys(LINALG_FACTORIZATIONS, 0)
+    for name in LINALG_FACTORIZATIONS:
+        real = getattr(np.linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("validate", {"eigh": 1, "eigvalsh": 1, "svd": 1}),
+        # the input's eigh; disentangle's 8; _ppt's 2; the re-verified sigma_U and witness 4
+        ("disentangle", {"eigh": 3, "eigvalsh": 8, "svd": 4}),
+        ("ppt", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
+        (None, {"eigh": 1, "eigvalsh": 4, "svd": 3}),
+    ],
+    ids=["validate", "disentangle", "ppt", "disentangle-in-process"],
+)
+def test_factorization_budget(tmp_path, capsys, monkeypatch, command, expected):
+    # statehood is decided once per call: disentangle --json reads ppt without a second gate
+    cov = gaussep.random_covariance(ModePartition(2, 2), seed=5)
+    doc = render_input_document(cov.sigma, cov.partition, cov.hbar, Ordering.INTERLEAVED)
+    path = write_doc(tmp_path, "doc.json", doc)
+    counts = _count_factorizations(monkeypatch)
+    if command is None:
+        gaussep.disentangle(cov)
+    else:
+        code, _, _ = run(capsys, command, path, "--json")
+        assert code in (0, 1)
+    assert {name: k for name, k in counts.items() if k} == expected

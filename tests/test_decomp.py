@@ -90,6 +90,12 @@ class TestOrthoDiagonalize:
         assert is_orthosymplectic(result.U).passed
         assert np.allclose(reconstruct(result.U, result.lambdas), np.eye(6), atol=1e-12)
 
+    def test_negative_identity_is_not_positive_definite(self):
+        # -I is symmetric and symplectic, so only the positivity gate refuses it
+        assert is_symplectic(-np.eye(2)).passed
+        with pytest.raises(ValueError, match="^input is not positive definite$"):
+            ortho_diagonalize(-np.eye(2))
+
     def test_golden_ratio_case(self):
         result = ortho_diagonalize(SHEAR_P)
         assert result.lambdas[0] == pytest.approx(PHI, abs=1e-12)
@@ -180,6 +186,11 @@ def _loop_rotation(P, w, V):
 class TestDeltaHelpers:
     def test_reconstruct_single_mode(self):
         assert np.allclose(reconstruct(np.eye(2), [2.0]), np.diag([2.0, 0.5]))
+
+    @pytest.mark.parametrize("dim", [4, 3])
+    def test_reconstruct_refuses_a_rotation_of_the_wrong_shape(self, dim):
+        with pytest.raises(ValueError, match=rf"^rotation shape \({dim}, {dim}\) does not match 1 modes$"):
+            reconstruct(np.eye(dim), [2.0])
 
     def test_delta_matrix_rejects_nonpositive(self):
         with pytest.raises(ValueError):

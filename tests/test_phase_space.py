@@ -92,6 +92,12 @@ def test_convert_rejects_odd_dimension():
         convert_ordering(np.eye(3), Ordering.INTERLEAVED, Ordering.BLOCKED)
 
 
+@pytest.mark.parametrize("vector", [np.zeros(3), np.zeros(0), np.zeros((2, 2))])
+def test_convert_vector_rejects_odd_length_empty_and_matrices(vector):
+    with pytest.raises(ValueError, match="^expected a vector of even length, got shape"):
+        convert_vector_ordering(vector, Ordering.INTERLEAVED, Ordering.BLOCKED)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_symplectic_form_is_direct_sum_of_mode_blocks(n):
     expected = np.zeros((2 * n, 2 * n))

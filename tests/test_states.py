@@ -293,3 +293,28 @@ class TestGaussianState:
     def test_rejects_bad_mean_shape(self):
         with pytest.raises(ValueError, match="mean"):
             GaussianState(CovarianceMatrix(0.5 * np.eye(4), PART11), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        # wigner_eval would turn such a mean into nan with a RuntimeWarning
+        with pytest.raises(ValueError, match="^mean contains non-finite entries$"):
+            GaussianState(two_mode_squeezed_vacuum(0.5), [0.0, 0.0, bad, 0.0])
+
+    def test_non_state_message_is_the_statehood_gate_format(self):
+        cov = CovarianceMatrix(np.diag([1.0, 0.125, 1.0, 0.125]), PART11)
+        with pytest.raises(QuantumConditionError) as exc:
+            GaussianState(cov)
+        assert str(exc.value) == (
+            "covariance matrix is not a quantum state: quantum condition fails "
+            "(margin -1.019e-01, nu_min 0.353553, hbar/2 = 0.5)"
+        )
+        assert exc.value.report == quantum_condition_check(cov)
+
+
+@pytest.mark.parametrize("transform", [rotate_state, push_symplectic])
+@pytest.mark.parametrize("dim", [2, 6])
+def test_transform_of_the_wrong_size_names_both_dimensions(transform, dim):
+    # the identity is orthosymplectic at every size, so only the size check refuses it
+    message = rf"^matrix shape \({dim}, {dim}\) does not match the 2-mode state \(4x4\)$"
+    with pytest.raises(ValueError, match=message):
+        transform(vacuum_state(), np.eye(dim))
