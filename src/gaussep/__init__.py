@@ -19,7 +19,6 @@ from .decomp import (
 from .phase_space import (
     ModePartition,
     Ordering,
-    build_J,
     convert_ordering,
     convert_vector_ordering,
     direct_sum,
@@ -45,8 +44,6 @@ from .spectral import (
 )
 from .states import (
     GaussianState,
-    purity,
-    push_symplectic,
     random_covariance,
     random_orthosymplectic,
     random_symplectic,
@@ -73,7 +70,6 @@ __all__ = [
     "VerificationError",
     "WilliamsonForm",
     "admissible_S",
-    "build_J",
     "convert_ordering",
     "convert_vector_ordering",
     "delta_matrix",
@@ -83,8 +79,6 @@ __all__ = [
     "is_symplectic",
     "ortho_diagonalize",
     "ppt_test",
-    "purity",
-    "push_symplectic",
     "quantum_condition_check",
     "random_covariance",
     "random_orthosymplectic",

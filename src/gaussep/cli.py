@@ -1,11 +1,11 @@
-"""Command-line surface: validate, decompose, disentangle, and generate documents.
+"""Command-line surface: validate, disentangle, ppt, williamson, random and convert.
 
-Exit codes: 0 the check or pipeline passed, 1 a well-formed input failed its
-mathematical verdict (quantum condition violated, entanglement detected,
-matrix not symplectic), 2 malformed input, 3 an internal verification
-failed (a bug or an input at the edge of conditioning).  Reports go to
-standard output, diagnostics to standard error; the text and JSON
-renderings carry identical numerics.
+Every command that judges a state reads one covariance document.  Exit
+codes: 0 the check or pipeline passed, 1 a well-formed input failed its
+mathematical verdict (quantum condition violated, entanglement detected),
+2 malformed input, 3 an internal verification failed (a bug or an input at
+the edge of conditioning).  Reports go to standard output, diagnostics to
+standard error; the text and JSON renderings carry identical numerics.
 """
 
 from __future__ import annotations
@@ -18,15 +18,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_TOL, POLAR_P_FACTOR, ROUNDTRIP_TOL, VerificationError, fro
-from .decomp import symplectic_polar
-from .documents import (
-    DocumentError,
-    InputDocument,
-    parse_input_document,
-    parse_matrix_document,
-    render_input_document,
-)
+from .checks import DEFAULT_TOL, ROUNDTRIP_TOL, VerificationError
+from .documents import DocumentError, InputDocument, parse_input_document, render_input_document
 from .phase_space import (
     ModePartition,
     Ordering,
@@ -113,7 +106,7 @@ def _render_text(report: dict) -> str:
 
 
 def _print_report(report: dict, args) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(_render_text(report))
@@ -142,17 +135,6 @@ def _reverify_report(report: dict) -> None:
         S = np.array(report["S"], dtype=float)
         if not is_symplectic(S, tol).passed:
             raise VerificationError("serialized Williamson factor is not symplectic")
-    elif report["command"] == "polar":
-        P = np.array(report["P"], dtype=float)
-        R = np.array(report["R"], dtype=float)
-        S = np.array(report["S"], dtype=float)
-        ok = (
-            is_orthosymplectic(R, tol).passed
-            and is_symplectic(P, POLAR_P_FACTOR * tol).passed
-            and fro(P @ R - S) <= tol * fro(S)
-        )
-        if not ok:
-            raise VerificationError("serialized polar factors fail re-verification")
 
 
 def _fail_not_a_state(out: dict, exc: QuantumConditionError, args) -> int:
@@ -225,33 +207,6 @@ def cmd_williamson(args) -> int:
     return EXIT_OK
 
 
-def cmd_polar(args) -> int:
-    matrix, declared, digest = parse_matrix_document(_read_text(args.file))
-    try:
-        form = symplectic_polar(matrix, args.tol)
-    except ValueError as exc:
-        _warn(str(exc))
-        return EXIT_FAIL
-    n = matrix.shape[0] // 2
-    out = {
-        "tool": "gaussep",
-        "version": __version__,
-        "command": "polar",
-        "tolerance": args.tol,
-        "ordering": Ordering.INTERLEAVED.value,
-        "declared_ordering": declared.value,
-        "n": n,
-        "input_digest": digest,
-        "S": matrix.tolist(),
-        "P": form.P.tolist(),
-        "R": form.R.tolist(),
-        "residuals": {k: float(v) for k, v in form.residuals.items()},
-    }
-    _reverify_report(out)
-    _print_report(out, args)
-    return EXIT_OK
-
-
 def cmd_random(args) -> int:
     partition = ModePartition(args.n_a, args.n_b)
     cov = random_covariance(
@@ -285,13 +240,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _add_common(parser: argparse.ArgumentParser, with_hbar: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance for every gate (default 1e-10)")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine-readable report")
     fmt.add_argument("--text", action="store_true", help="human-readable report (default)")
-    if with_hbar:
-        parser.add_argument("--hbar", type=float, default=None, help="override the document hbar (warns on conflict)")
+    parser.add_argument("--hbar", type=float, default=None, help="override the document hbar (warns on conflict)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="input document ('-' for stdin)")
         _add_common(p)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("polar", help="symplectic polar decomposition of a matrix document")
-    p.add_argument("file", help="matrix document ('-' for stdin)")
-    _add_common(p, with_hbar=False)
-    p.set_defaults(func=cmd_polar)
 
     p = sub.add_parser("random", help="write a random valid input document to stdout")
     p.add_argument("--nA", dest="n_a", type=int, required=True, help="modes in part A")

@@ -165,28 +165,6 @@ def parse_input_document(text: str) -> InputDocument:
     )
 
 
-def parse_matrix_document(text: str) -> tuple[np.ndarray, Ordering, str]:
-    """Parse a document carrying one square matrix (the polar-decomposition input).
-
-    Fields: ``matrix`` (required), ``ordering`` (optional).  Returns the
-    matrix converted to interleaved ordering, the declared ordering, and the
-    content digest.
-    """
-    raw = _parse_json(text)
-    if "matrix" not in raw:
-        raise DocumentError("missing required field 'matrix'")
-    try:
-        ordering = Ordering.parse(raw.get("ordering", "interleaved"))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
-    matrix = _as_matrix(raw["matrix"], "matrix")
-    return (
-        convert_ordering(matrix, ordering, Ordering.INTERLEAVED),
-        ordering,
-        content_digest(raw),
-    )
-
-
 def render_input_document(
     sigma: np.ndarray,
     partition: ModePartition,

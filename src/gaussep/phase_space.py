@@ -65,7 +65,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form for n modes in interleaved ordering.
 
     The array is built once per mode count and shared by every caller, so it
-    is read-only: copy it before writing to it (``build_J`` returns a copy).
+    is read-only: copy it before writing to it.
     """
     if n_modes < 1:
         raise ValueError("need at least one mode")
@@ -76,15 +76,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     J[x + 1, x] = -1.0
     J.setflags(write=False)
     return J
-
-
-def build_J(partition: ModePartition, ordering: Ordering = Ordering.INTERLEAVED) -> np.ndarray:
-    """Symplectic form J = J_A (+) J_B of a bipartite system, entries 0 and +-1.
-
-    Unlike ``symplectic_form`` the result is a fresh, writable array.
-    """
-    J = symplectic_form(partition.n)
-    return convert_ordering(J, Ordering.INTERLEAVED, ordering)
 
 
 def _blocked_from_interleaved(n: int) -> np.ndarray:

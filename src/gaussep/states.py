@@ -1,4 +1,4 @@
-"""Gaussian state model: Wigner densities, rotations, purity, random fixtures.
+"""Gaussian state model: Wigner densities, rotations, random fixtures.
 
 A state is a covariance matrix plus a phase-space mean.  The Wigner
 distribution of a Gaussian state is the normal density with those moments;
@@ -16,12 +16,7 @@ import numpy as np
 
 from .checks import DEFAULT_TOL, HUGE, hbar_input
 from .decomp import _delta_diagonal
-from .phase_space import (
-    ModePartition,
-    is_orthosymplectic,
-    is_symplectic,
-    symplectic_form,
-)
+from .phase_space import ModePartition, is_orthosymplectic, symplectic_form
 from .spectral import CovarianceMatrix, _require_state
 
 
@@ -96,54 +91,21 @@ def rotate_state(state: GaussianState, U: np.ndarray, tol: float = DEFAULT_TOL) 
 
     This is the exact covariance-level action of either metaplectic operator
     covering U, so pointwise ``wigner(rotated, z) == wigner(state, U^T z)``.
-    Restricted to rotations on purpose; use :func:`push_symplectic` for a
-    general symplectic transformation.
+    Restricted to rotations on purpose: a general symplectic S acts as
+    ``CovarianceMatrix(S @ Sigma @ S.T, ...)``.
     """
-    U = _operand(state, U)
+    U = np.asarray(U, dtype=float)
+    dim = state.cov.dim
+    if U.shape != (dim, dim):
+        raise ValueError(
+            f"matrix shape {U.shape} does not match the {state.n}-mode state ({dim}x{dim})"
+        )
     report = is_orthosymplectic(U, tol)
     if not report.passed:
-        raise ValueError(
-            f"matrix is not orthosymplectic (residuals {report.residuals}); "
-            "use push_symplectic for general symplectic maps"
-        )
-    return _congruence(state, U)
-
-
-def push_symplectic(state: GaussianState, S: np.ndarray, tol: float = DEFAULT_TOL) -> GaussianState:
-    """Symplectic pushforward Sigma -> S Sigma S^T, mean -> S mean."""
-    S = _operand(state, S)
-    report = is_symplectic(S, tol)
-    if not report.passed:
-        raise ValueError(
-            f"matrix is not symplectic (residual {report.residuals['symplectic']:.3e})"
-        )
-    return _congruence(state, S)
-
-
-def _operand(state: GaussianState, T) -> np.ndarray:
-    """``T`` as a float array; raises ValueError naming both dimensions unless it is 2n x 2n."""
-    T = np.asarray(T, dtype=float)
-    dim = state.cov.dim
-    if T.shape != (dim, dim):
-        raise ValueError(
-            f"matrix shape {T.shape} does not match the {state.n}-mode state ({dim}x{dim})"
-        )
-    return T
-
-
-def _congruence(state: GaussianState, T: np.ndarray) -> GaussianState:
-    sigma = T @ state.cov.sigma @ T.T
-    sigma = 0.5 * (sigma + sigma.T)
-    cov = CovarianceMatrix(sigma, state.cov.partition, state.cov.hbar)
-    return GaussianState(cov, T @ state.mean)
-
-
-def purity(state: GaussianState) -> float:
-    """Gaussian purity (hbar/2)^n det(Sigma)^(-1/2); equals 1 exactly for pure states."""
-    sign, logdet = np.linalg.slogdet(state.cov.sigma)
-    if sign <= 0:
-        raise ValueError("covariance matrix must be positive definite")
-    return float(math.exp(state.n * math.log(0.5 * state.cov.hbar) - 0.5 * logdet))
+        raise ValueError(f"matrix is not orthosymplectic (residuals {report.residuals})")
+    sigma = U @ state.cov.sigma @ U.T
+    cov = CovarianceMatrix(0.5 * (sigma + sigma.T), state.cov.partition, state.cov.hbar)
+    return GaussianState(cov, U @ state.mean)
 
 
 def random_orthosymplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:

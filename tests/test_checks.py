@@ -145,6 +145,51 @@ def test_quantum_condition_error_is_raised_by_the_one_gate_only():
     assert found == ["gate"], found
 
 
+def _imported_names(tree) -> dict:
+    """Each name an import binds, mapped to its line; ``__future__`` features bind none."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    return names
+
+
+def _dunder_all(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def test_every_import_is_used_or_exported():
+    # a deleted caller leaves its imports behind, and no linter runs on the package
+    found = []
+    for path in sorted(Path(gaussep.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_dunder_all(tree))
+        for name, lineno in _imported_names(tree).items():
+            if name not in used and "# noqa: F401" not in lines[lineno - 1]:
+                found.append(f"{path.name}:{lineno}: {name}")
+    assert not found, found
+
+
+def test_dunder_all_is_the_public_import_list():
+    # a name left in __all__ after its function is deleted breaks ``from gaussep import *``
+    tree = ast.parse(Path(gaussep.__file__).read_text())
+    exported = gaussep.__all__
+    assert len(exported) == len(set(exported)), exported
+    missing = [name for name in exported if not hasattr(gaussep, name)]
+    assert not missing, missing
+    public = {name for name in _imported_names(tree) if not name.startswith("_")}
+    assert set(exported) == public
+
+
 def _symplectic_positive(seed):
     # S S^T of a symplectic S: a positive symplectic P and, at hbar = 1, a valid covariance
     S = random_symplectic(2, np.random.default_rng(seed))

@@ -298,27 +298,6 @@ class TestWilliamson:
         assert err != ""
 
 
-class TestPolar:
-    def test_shear(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "s.json", {"matrix": [[1.0, 1.0], [0.0, 1.0]]})
-        code, out, _ = run(capsys, "polar", path, "--json")
-        assert code == 0
-        report = json.loads(out)
-        expected = np.array([[3.0, 1.0], [1.0, 2.0]]) / math.sqrt(5.0)
-        assert np.allclose(report["P"], expected, atol=1e-12)
-
-    def test_non_symplectic_exits_1(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "ns.json", {"matrix": [[2.0, 0.0], [0.0, 2.0]]})
-        code, out, err = run(capsys, "polar", path)
-        assert code == 1
-        assert "symplectic" in err
-
-    def test_missing_matrix_exits_2(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "nm.json", {"m": [[1.0]]})
-        code, _, _ = run(capsys, "polar", path)
-        assert code == 2
-
-
 class TestRandomAndConvert:
     def test_random_validates(self, tmp_path, capsys):
         code, out, _ = run(capsys, "random", "--nA", "1", "--nB", "1", "--seed", "7")
@@ -406,11 +385,12 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 NO_SCIPY_SCRIPT = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import numpy as np
 from gaussep import (
-    GaussianState, ModePartition, admissible_S, random_covariance, wigner_eval, williamson,
+    GaussianState, ModePartition, admissible_S, random_covariance, symplectic_polar, wigner_eval,
+    williamson,
 )
 from gaussep.cli import main
 
@@ -420,11 +400,8 @@ with open(doc, "w") as handle, contextlib.redirect_stdout(handle):
     # squeezed, but mixed enough to pass the PPT test, so that every command exits 0
     argv = ["random", "--nA", "2", "--nB", "2", "--seed", "3", "--squeeze", "0.3", "--mix", "2"]
     assert main(argv) == 0
-shear = os.path.join(work, "shear.json")
-with open(shear, "w") as handle:
-    json.dump({"matrix": [[1.0, 1.0], [0.0, 1.0]]}, handle)
 for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc],
-             ["williamson", doc], ["polar", shear], ["convert", doc, "--to", "blocked"]):
+             ["williamson", doc], ["convert", doc, "--to", "blocked"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code == 0, (argv, code)
@@ -434,6 +411,7 @@ cov = random_covariance(ModePartition(1, 2), seed=0)
 assert williamson(cov).nu.shape == (3,)
 assert admissible_S(cov).shape == (6, 6)
 assert wigner_eval(GaussianState(cov), np.zeros(6)) > 0.0
+assert symplectic_polar(np.array([[1.0, 1.0], [0.0, 1.0]])).R.shape == (2, 2)
 print("ok")
 """
 
@@ -664,26 +642,6 @@ def test_document_entries_must_be_json_numbers(tmp_path, capsys, field, payload)
         assert f"field '{field}' must hold only numbers" in err
 
 
-@pytest.mark.parametrize("entry", ["true", '"1"'])
-def test_matrix_document_entries_must_be_json_numbers(tmp_path, capsys, entry):
-    path = write_doc(tmp_path, "shear.json", '{"matrix": [[1, 1], [0, %s]]}' % entry)
-    code, out, err = run(capsys, "polar", path)
-    assert code == 2 and out == ""
-    assert "field 'matrix' must hold only numbers" in err
-
-
-def test_polar_of_a_squeezer_past_the_square_root_of_float64(tmp_path, capsys):
-    # ||S||^2 overflows, so the symplectic residuals scale S by its largest entry
-    path = write_doc(tmp_path, "squeezer.json", {"matrix": [[1e200, 0.0], [0.0, 1e-200]]})
-    code, out, _ = run_without_warnings(capsys, "polar", path, "--json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["residuals"]["input_symplectic"] == 0.0
-    P = np.array(report["P"])
-    assert np.array_equal(P, np.diag(np.diag(P)))
-    assert np.diag(P) == pytest.approx([1e200, 1e-200], rel=1e-15, abs=0.0)
-
-
 def _scaled_doc(tmp_path, name, sigma, hbar, partition):
     return write_doc(
         tmp_path, name,
@@ -731,18 +689,17 @@ def test_tiny_non_states_fail_relative_to_their_own_norm(tmp_path, capsys):
             "field 'mean' contains non-finite entries",
         ),
         (["ppt"], {"sigma": IDENTITY, "hbar": "1"}, "field 'hbar' must be a number, got str"),
-        (["polar"], {"matrix": [[1, 0], [0, 1]], "ordering": "weird"}, "unknown ordering 'weird'"),
         (["williamson"], None, "cannot read"),
     ],
     ids=[
         "top-level-array", "ragged-sigma", "non-square-sigma", "mean-shape", "mean-nan",
-        "hbar-string", "polar-ordering", "unreadable-path",
+        "hbar-string", "unreadable-path",
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, payload, expected):
     if payload is None:
         path = str(tmp_path / "missing.json")
-    elif isinstance(payload, dict) and "matrix" not in payload:
+    elif isinstance(payload, dict):
         path = write_doc(tmp_path, "doc.json", {"n_A": 1, "n_B": 1, **payload})
     else:
         path = write_doc(tmp_path, "doc.json", payload)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from gaussep import (
     ModePartition,
     PairingError,
-    VerificationError,
     delta_matrix,
     is_orthosymplectic,
     is_symplectic,
@@ -76,6 +76,17 @@ class TestSymplecticPolar:
         S = random_symplectic(n, rng, squeeze_max=1.2)
         eigs = np.linalg.eigvalsh(symplectic_polar(S).P)
         assert np.allclose(eigs * eigs[::-1], 1.0, atol=1e-9)
+
+
+def test_polar_of_a_squeezer_past_the_square_root_of_float64():
+    # ||S||^2 overflows, so the symplectic residuals scale S by its largest entry
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        form = symplectic_polar(np.diag([1e200, 1e-200]))
+    assert not caught, [str(w.message) for w in caught]
+    assert form.residuals["input_symplectic"] == 0.0
+    assert np.array_equal(form.P, np.diag(np.diag(form.P)))
+    assert np.diag(form.P) == pytest.approx([1e200, 1e-200], rel=1e-15, abs=0.0)
 
 
 class TestOrthoDiagonalize:

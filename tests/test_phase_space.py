@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gaussep import (
     ModePartition,
     Ordering,
-    build_J,
     convert_ordering,
     convert_vector_ordering,
     direct_sum,
@@ -27,21 +26,13 @@ def test_partition_requires_both_parts():
 
 
 def test_single_mode_block():
-    J = build_J(ModePartition(1, 1))
+    J = symplectic_form(2)
     assert np.array_equal(J[:2, :2], J2)
-
-
-def test_build_J_is_direct_sum_of_mode_blocks():
-    J = build_J(ModePartition(1, 1), Ordering.INTERLEAVED)
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = J2
-    expected[2:, 2:] = J2
-    assert np.array_equal(J, expected)
 
 
 @pytest.mark.parametrize("n_a,n_b", [(1, 1), (1, 2), (2, 3), (3, 3)])
 def test_J_invariants_exact(n_a, n_b):
-    J = build_J(ModePartition(n_a, n_b))
+    J = symplectic_form(n_a + n_b)
     dim = 2 * (n_a + n_b)
     assert np.array_equal(J.T, -J)
     assert np.array_equal(J @ J, -np.eye(dim))
@@ -66,7 +57,7 @@ def test_convert_fixes_identity():
 
 def test_J_blocked_form():
     # applying the permutation by hand to the 4x4 interleaved J gives [[0, I], [-I, 0]]
-    J = build_J(ModePartition(1, 1), Ordering.BLOCKED)
+    J = convert_ordering(symplectic_form(2), Ordering.INTERLEAVED, Ordering.BLOCKED)
     expected = np.block(
         [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
     )
@@ -120,14 +111,6 @@ def test_symplectic_form_rejects_zero_modes_and_recovers():
     with pytest.raises(ValueError):
         symplectic_form(0)
     assert np.array_equal(symplectic_form(1), J2)
-
-
-def test_build_J_returns_writable_copy():
-    partition = ModePartition(1, 2)
-    for ordering in Ordering:
-        J = build_J(partition, ordering)
-        J[0, 0] = 5.0
-        assert symplectic_form(3)[0, 0] == 0.0
 
 
 def test_direct_sum_of_unequal_blocks():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gaussep import (
@@ -15,18 +15,14 @@ from gaussep import (
     direct_sum,
     is_orthosymplectic,
     is_symplectic,
-    purity,
-    push_symplectic,
     quantum_condition_check,
     random_covariance,
     random_orthosymplectic,
     random_symplectic,
     rotate_state,
-    symplectic_eigenvalues,
     two_mode_squeezed_vacuum,
     wigner_eval,
 )
-from gaussep.checks import EPS
 
 PART11 = ModePartition(1, 1)
 
@@ -162,72 +158,6 @@ class TestRotateState:
         assert np.allclose(back.mean, state.mean, atol=1e-12)
 
 
-class TestPushSymplectic:
-    def test_identity(self):
-        state = vacuum_state()
-        assert np.allclose(push_symplectic(state, np.eye(4)).cov.sigma, state.cov.sigma)
-
-    def test_single_mode_squeeze_on_vacuum(self):
-        r = 0.7
-        S = direct_sum(np.diag([math.exp(r), math.exp(-r)]), np.eye(2))
-        pushed = push_symplectic(vacuum_state(), S)
-        expected = direct_sum(
-            0.5 * np.diag([math.exp(2 * r), math.exp(-2 * r)]), 0.5 * np.eye(2)
-        )
-        assert np.allclose(pushed.cov.sigma, expected, atol=1e-12)
-
-    def test_rejects_non_symplectic(self):
-        with pytest.raises(ValueError, match="symplectic"):
-            push_symplectic(vacuum_state(), np.diag([2.0, 2.0, 1.0, 1.0]))
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_spectrum_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        state = GaussianState(random_covariance(PART11, seed=seed, mix_max=1.0))
-        S = random_symplectic(2, rng, squeeze_max=1.0)
-        pushed = push_symplectic(state, S)
-        assert np.allclose(
-            symplectic_eigenvalues(pushed.cov),
-            symplectic_eigenvalues(state.cov),
-            atol=1e-9,
-        )
-
-
-class TestPurity:
-    def test_vacuum_is_pure(self):
-        for hbar in (0.5, 1.0, 2.0):
-            assert purity(vacuum_state(hbar=hbar)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_thermal_single_mode(self):
-        # Sigma = hbar * I on one mode gives purity 1/2 (per mode), here with a
-        # vacuum spectator on the B side
-        hbar = 1.0
-        sigma = direct_sum(hbar * np.eye(2), 0.5 * hbar * np.eye(2))
-        state = GaussianState(CovarianceMatrix(sigma, PART11, hbar))
-        assert purity(state) == pytest.approx(0.5, abs=1e-12)
-
-    @example(seed=724)  # kappa(S Sigma S^T) = 1.2e5: the error is 2.2e-12
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_invariant_under_symplectic_pushforward(self, seed):
-        rng = np.random.default_rng(seed)
-        state = GaussianState(random_covariance(PART11, seed=seed, mix_max=1.0))
-        S = random_symplectic(2, rng, squeeze_max=1.0)
-        pushed = push_symplectic(state, S)
-        # purity = (hbar/2)^n det(Sigma)^(-1/2), and a perturbation dSigma moves
-        # log det by tr(Sigma^-1 dSigma) <= dim * kappa * ||dSigma|| / ||Sigma||;
-        # rounding in S Sigma S^T and slogdet makes that relative size a few eps,
-        # so the error is below purity * dim * eps * kappa (observed: 0.36 of it)
-        expected = purity(state)
-        bound = expected * pushed.cov.dim * EPS * np.linalg.cond(pushed.cov.sigma)
-        assert purity(pushed) == pytest.approx(expected, abs=bound)
-
-    def test_equals_one_iff_spectrum_saturates(self):
-        cov = random_covariance(PART11, seed=2, mix_max=0.0)
-        assert purity(GaussianState(cov)) == pytest.approx(1.0, abs=1e-10)
-        mixed = random_covariance(PART11, seed=2, mix_max=1.0)
-        assert purity(GaussianState(mixed)) < 1.0 - 1e-6
-
-
 class TestRandomFixtures:
     def test_no_squeeze_no_mix_is_vacuum(self):
         for hbar in (0.5, 1.0, 2.0):
@@ -311,7 +241,7 @@ class TestGaussianState:
         assert exc.value.report == quantum_condition_check(cov)
 
 
-@pytest.mark.parametrize("transform", [rotate_state, push_symplectic])
+@pytest.mark.parametrize("transform", [rotate_state])
 @pytest.mark.parametrize("dim", [2, 6])
 def test_transform_of_the_wrong_size_names_both_dimensions(transform, dim):
     # the identity is orthosymplectic at every size, so only the size check refuses it
