@@ -1,6 +1,7 @@
-"""Command-line surface: validate, disentangle, ppt, williamson, random and convert.
+"""Command-line surface: validate, disentangle, ppt, williamson and random.
 
-Every command that judges a state reads one covariance document.  Exit
+Every command that judges a state reads one covariance document, whose
+``hbar`` (default 1) is the only source of hbar.  Exit
 codes: 0 the check or pipeline passed, 1 a well-formed input failed its
 mathematical verdict (quantum condition violated, entanglement detected),
 2 malformed input, 3 an internal verification failed (a bug or an input at
@@ -20,15 +21,7 @@ import numpy as np
 from . import __version__
 from .checks import DEFAULT_TOL, ROUNDTRIP_TOL, VerificationError
 from .documents import DocumentError, InputDocument, parse_input_document, render_input_document
-from .phase_space import (
-    ModePartition,
-    Ordering,
-    convert_ordering,
-    convert_vector_ordering,
-    is_orthosymplectic,
-    is_symplectic,
-    symplectic_form,
-)
+from .phase_space import ModePartition, Ordering, is_orthosymplectic, is_symplectic, symplectic_form
 from .separability import SeparabilityWitness, _ppt, disentangle, ppt_test, werner_wolf_check
 from .spectral import CovarianceMatrix, QuantumConditionError, _quantum_condition, williamson
 from .states import random_covariance
@@ -60,25 +53,16 @@ def _load_document(args) -> InputDocument:
     return doc
 
 
-def _load_covariance(args) -> tuple[InputDocument, CovarianceMatrix]:
-    """The document and its covariance matrix, with ``--hbar`` applied."""
-    doc = _load_document(args)
-    cov = doc.to_covariance(args.hbar)
-    if args.hbar is not None and doc.hbar_explicit and abs(args.hbar - doc.hbar) > 0:
-        _warn(f"--hbar {args.hbar} overrides the document value {doc.hbar}; the verdict depends on hbar")
-    return doc, cov
-
-
-def _header(command: str, doc: InputDocument, hbar: float, tol: float) -> dict:
+def _header(command: str, doc: InputDocument, tol: float) -> dict:
     return {
         "tool": "gaussep",
         "version": __version__,
         "command": command,
         "tolerance": tol,
-        "hbar": hbar,
+        "hbar": doc.cov.hbar,
         "ordering": Ordering.INTERLEAVED.value,
-        "n_A": doc.partition.n_a,
-        "n_B": doc.partition.n_b,
+        "n_A": doc.cov.partition.n_a,
+        "n_B": doc.cov.partition.n_b,
         "input_digest": doc.digest,
     }
 
@@ -147,9 +131,10 @@ def _fail_not_a_state(out: dict, exc: QuantumConditionError, args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc, cov = _load_covariance(args)
+    doc = _load_document(args)
+    cov = doc.cov
     report, nu, _ = _quantum_condition(cov, args.tol, symplectic_form(cov.n))
-    out = _header("validate", doc, cov.hbar, args.tol)
+    out = _header("validate", doc, args.tol)
     out["quantum_condition"] = asdict(report)
     out["symplectic_eigenvalues"] = nu.tolist()
     out["verdict"] = "pass" if report.passed else "fail"
@@ -158,8 +143,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_disentangle(args) -> int:
-    doc, cov = _load_covariance(args)
-    out = _header("disentangle", doc, cov.hbar, args.tol)
+    doc = _load_document(args)
+    cov = doc.cov
+    out = _header("disentangle", doc, args.tol)
     try:
         result = disentangle(cov, args.tol)
     except QuantumConditionError as exc:
@@ -183,10 +169,10 @@ def cmd_disentangle(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    doc, cov = _load_covariance(args)
-    out = _header("ppt", doc, cov.hbar, args.tol)
+    doc = _load_document(args)
+    out = _header("ppt", doc, args.tol)
     try:
-        report = ppt_test(cov, args.tol)
+        report = ppt_test(doc.cov, args.tol)
     except QuantumConditionError as exc:
         return _fail_not_a_state(out, exc, args)
     out["ppt"] = asdict(report)
@@ -196,9 +182,9 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_williamson(args) -> int:
-    doc, cov = _load_covariance(args)
-    form = williamson(cov, args.tol)
-    out = _header("williamson", doc, cov.hbar, args.tol)
+    doc = _load_document(args)
+    form = williamson(doc.cov, args.tol)
+    out = _header("williamson", doc, args.tol)
     out["symplectic_eigenvalues"] = form.nu.tolist()
     out["S"] = form.S.tolist()
     out["residuals"] = {k: float(v) for k, v in form.residuals.items()}
@@ -208,24 +194,14 @@ def cmd_williamson(args) -> int:
 
 
 def cmd_random(args) -> int:
-    partition = ModePartition(args.n_a, args.n_b)
     cov = random_covariance(
-        partition,
-        hbar=args.hbar if args.hbar is not None else 1.0,
+        ModePartition(args.n_a, args.n_b),
+        hbar=args.hbar,
         seed=args.seed,
         squeeze_max=args.squeeze,
         mix_max=args.mix,
     )
-    print(render_input_document(cov.sigma, partition, cov.hbar, Ordering.INTERLEAVED))
-    return EXIT_OK
-
-
-def cmd_convert(args) -> int:
-    doc = _load_document(args)
-    target = Ordering.parse(args.to)
-    sigma = convert_ordering(doc.sigma, Ordering.INTERLEAVED, target)
-    mean = convert_vector_ordering(doc.mean, Ordering.INTERLEAVED, target)
-    print(render_input_document(sigma, doc.partition, doc.hbar, target, mean))
+    print(render_input_document(cov))
     return EXIT_OK
 
 
@@ -238,14 +214,6 @@ def _tolerance(text: str) -> float:
     if not 0.0 <= tol < np.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return tol
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance for every gate (default 1e-10)")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable report")
-    fmt.add_argument("--text", action="store_true", help="human-readable report (default)")
-    parser.add_argument("--hbar", type=float, default=None, help="override the document hbar (warns on conflict)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input document ('-' for stdin)")
-        _add_common(p)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance for every gate (default %(default)s)")
+        p.add_argument("--json", action="store_true", help="machine-readable report (default: text)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("random", help="write a random valid input document to stdout")
@@ -273,13 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (deterministic output)")
     p.add_argument("--squeeze", type=float, default=1.0, help="max squeeze parameter")
     p.add_argument("--mix", type=float, default=1.0, help="max relative thermal excess")
-    p.add_argument("--hbar", type=float, default=None, help="hbar stored in the document")
+    p.add_argument("--hbar", type=float, default=1.0, help="hbar stored in the document")
     p.set_defaults(func=cmd_random)
-
-    p = sub.add_parser("convert", help="re-index a document between orderings")
-    p.add_argument("file", help="input document ('-' for stdin)")
-    p.add_argument("--to", required=True, choices=["interleaved", "blocked"], help="target ordering")
-    p.set_defaults(func=cmd_convert)
 
     return parser
 

@@ -3,9 +3,11 @@
 One self-describing JSON document format carries covariance matrices in and
 out: named fields ``hbar``, ``ordering``, ``n_A``, ``n_B``, ``sigma`` (row
 major), optional ``mean``; parsing converts ``sigma`` and ``mean`` to the
-interleaved ordering once.  Matrices are serialized at full precision (the
-shortest decimal that round-trips), so parsing a document back reproduces
-the exact floats.  Reports are plain JSON objects built in :mod:`.cli`.
+interleaved ordering once and builds the ``CovarianceMatrix``, whose
+constructor is the one gate on ``sigma`` and ``hbar``.  Matrices are
+serialized at full precision (the shortest decimal that round-trips), so
+parsing a document back reproduces the exact floats.  Reports are plain JSON
+objects built in :mod:`.cli`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import INGEST_WARN_TOL, hbar_input, relative_asymmetry, symmetric_input
+from .checks import INGEST_WARN_TOL, relative_asymmetry
 from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
 from .spectral import CovarianceMatrix
 
@@ -29,7 +31,10 @@ class DocumentError(ValueError):
 def _as_float(raw, key: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise DocumentError(f"field {key!r} must be a number, got {type(raw).__name__}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # a JSON integer past the float64 maximum
+        raise DocumentError(f"field {key!r} is beyond the float64 range") from None
 
 
 def _as_positive_int(raw, key: str) -> int:
@@ -53,7 +58,7 @@ def _require_numbers(entries, key: str) -> None:
 def _as_matrix(raw, key: str) -> np.ndarray:
     try:
         matrix = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"field {key!r} is not a numeric matrix: {exc}") from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DocumentError(f"field {key!r} must be a square matrix, got shape {matrix.shape}")
@@ -69,8 +74,9 @@ def _as_matrix(raw, key: str) -> np.ndarray:
 def _parse_json(text: str) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, or CPython's limits on integer digits and on nesting depth
+        raise DocumentError(f"invalid JSON: {str(exc).partition('; use sys.')[0]}") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     return raw
@@ -84,30 +90,22 @@ def content_digest(raw: dict) -> str:
 
 @dataclass
 class InputDocument:
-    """Parsed covariance-matrix document, validated, symmetrized and interleaved."""
+    """A parsed document: its state's ``CovarianceMatrix``, interleaved ``mean``, digest and warnings."""
 
-    hbar: float
-    partition: ModePartition
-    sigma: np.ndarray
+    cov: CovarianceMatrix
     mean: np.ndarray
     digest: str
-    hbar_explicit: bool
     warnings: list[str] = field(default_factory=list)
-
-    def to_covariance(self, hbar_override: float | None = None) -> CovarianceMatrix:
-        """The CovarianceMatrix, applying an optional hbar override."""
-        hbar = self.hbar if hbar_override is None else hbar_override
-        return CovarianceMatrix(self.sigma, self.partition, hbar)
 
 
 def parse_input_document(text: str) -> InputDocument:
-    """Parse and validate a covariance-matrix document.
+    """Parse a covariance-matrix document into its ``CovarianceMatrix``.
 
-    Raises DocumentError on any schema or consistency violation, including
-    an ``hbar`` that fails ``checks.hbar_input`` and a ``sigma`` that fails
-    ``checks.symmetric_input``; an asymmetry above
-    ``checks.INGEST_WARN_TOL`` that the gate accepts is repaired by it and
-    reported in ``warnings``.  ``sigma`` and ``mean`` come back interleaved.
+    Raises DocumentError on any schema or consistency violation; a ``sigma``
+    or ``hbar`` that the ``CovarianceMatrix`` constructor refuses raises it
+    with the constructor's message.  An asymmetry above
+    ``checks.INGEST_WARN_TOL`` that the constructor accepts is repaired by it
+    and reported in ``warnings``.  ``cov`` and ``mean`` are interleaved.
     """
     raw = _parse_json(text)
     for key in ("n_A", "n_B", "sigma"):
@@ -117,9 +115,8 @@ def parse_input_document(text: str) -> InputDocument:
     n_b = _as_positive_int(raw["n_B"], "n_B")
     partition = ModePartition(n_a, n_b)
 
-    hbar_explicit = "hbar" in raw
+    hbar = _as_float(raw.get("hbar", 1.0), "hbar")
     try:
-        hbar = hbar_input(_as_float(raw.get("hbar", 1.0), "hbar"))
         ordering = Ordering.parse(raw.get("ordering", "interleaved"))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
@@ -131,7 +128,7 @@ def parse_input_document(text: str) -> InputDocument:
         )
 
     try:
-        symmetric = symmetric_input(sigma, "sigma")
+        cov = CovarianceMatrix(convert_ordering(sigma, ordering, Ordering.INTERLEAVED), partition, hbar)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     warnings: list[str] = []
@@ -142,7 +139,7 @@ def parse_input_document(text: str) -> InputDocument:
     if "mean" in raw:
         try:
             mean = np.array(raw["mean"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DocumentError(f"field 'mean' is not a numeric vector: {exc}") from None
         if mean.shape != (partition.dim,):
             raise DocumentError(
@@ -155,32 +152,21 @@ def parse_input_document(text: str) -> InputDocument:
         mean = np.zeros(partition.dim)
 
     return InputDocument(
-        hbar=hbar,
-        partition=partition,
-        sigma=convert_ordering(symmetric, ordering, Ordering.INTERLEAVED),
+        cov=cov,
         mean=convert_vector_ordering(mean, ordering, Ordering.INTERLEAVED),
         digest=content_digest(raw),
-        hbar_explicit=hbar_explicit,
         warnings=warnings,
     )
 
 
-def render_input_document(
-    sigma: np.ndarray,
-    partition: ModePartition,
-    hbar: float,
-    ordering: Ordering,
-    mean: np.ndarray | None = None,
-) -> str:
-    """Serialize a covariance matrix as an input document (fixed key order)."""
-    if mean is None:
-        mean = np.zeros(sigma.shape[0])
+def render_input_document(cov: CovarianceMatrix) -> str:
+    """Serialize a covariance matrix as an interleaved input document with a zero mean (fixed key order)."""
     doc = {
-        "hbar": float(hbar),
-        "ordering": ordering.value,
-        "n_A": partition.n_a,
-        "n_B": partition.n_b,
-        "sigma": sigma.tolist(),
-        "mean": mean.tolist(),
+        "hbar": cov.hbar,
+        "ordering": Ordering.INTERLEAVED.value,
+        "n_A": cov.partition.n_a,
+        "n_B": cov.partition.n_b,
+        "sigma": cov.sigma.tolist(),
+        "mean": [0.0] * cov.dim,
     }
     return json.dumps(doc, indent=2)

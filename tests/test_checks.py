@@ -217,7 +217,7 @@ def _through_document(matrix, tmp_path, capsys):
     if code == 2:
         raise ValueError(err)
     assert code == 0, err
-    return parse_input_document(path.read_text()).sigma
+    return parse_input_document(path.read_text()).cov.sigma
 
 
 def _through_rotation(matrix, *_):

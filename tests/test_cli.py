@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -21,9 +22,10 @@ from gaussep import (
     two_mode_squeezed_vacuum,
     werner_wolf_check,
 )
-from gaussep.cli import main
+from gaussep.checks import DEFAULT_TOL
+from gaussep.cli import build_parser, main
 from gaussep.documents import parse_input_document, render_input_document
-from gaussep.phase_space import Ordering
+from gaussep.phase_space import Ordering, convert_ordering, convert_vector_ordering
 
 from helpers import raw_random_sigma
 
@@ -90,7 +92,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", write_doc(tmp_path, "r.json", doc_text), "--json")
         assert code == 0
         report = json.loads(out)
-        cov = parse_input_document(doc_text).to_covariance()
+        cov = parse_input_document(doc_text).cov
         assert report["quantum_condition"] == asdict(quantum_condition_check(cov))
         assert report["symplectic_eigenvalues"] == symplectic_eigenvalues(cov).tolist()
 
@@ -142,11 +144,11 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "-")
         assert code == 0
 
-    def test_hbar_override_warns_and_changes_verdict(self, tmp_path, capsys):
-        path = vacuum_doc(tmp_path, hbar=1.0)
-        code, _, err = run(capsys, "validate", path, "--hbar", "2.0")
+    def test_document_hbar_changes_verdict(self, tmp_path, capsys):
+        sigma = 0.5 * np.eye(4)
+        path = write_doc(tmp_path, "h2.json", {"hbar": 2.0, "n_A": 1, "n_B": 1, "sigma": sigma.tolist()})
+        code, _, _ = run(capsys, "validate", path)
         assert code == 1  # vacuum at hbar=1 violates the hbar=2 condition
-        assert "overrides" in err
 
 
 class TestDisentangle:
@@ -206,7 +208,7 @@ class TestDisentangle:
         code, out, _ = run(capsys, "disentangle", write_doc(tmp_path, "r.json", doc_text), "--json")
         assert code == 0
         report = json.loads(out)
-        cov = parse_input_document(doc_text).to_covariance()
+        cov = parse_input_document(doc_text).cov
         sigma_U = CovarianceMatrix(np.array(report["sigma_U"]), cov.partition, cov.hbar)
         witness = SeparabilityWitness(
             np.array(report["sigma_A"]), np.array(report["sigma_B"]), cov.hbar
@@ -219,14 +221,14 @@ class TestDisentangle:
         path = bad_doc(tmp_path)
         code, out, _ = run(capsys, "disentangle", path, "--json")
         assert code == 1
-        cov = parse_input_document(Path(path).read_text()).to_covariance()
+        cov = parse_input_document(Path(path).read_text()).cov
         assert json.loads(out)["quantum_condition"] == asdict(quantum_condition_check(cov))
 
     def test_text_and_json_carry_identical_numerics(self, tmp_path, capsys):
         path = tmsv_doc(tmp_path)
         code, json_out, _ = run(capsys, "disentangle", path, "--json")
         assert code == 0
-        code, text_out, _ = run(capsys, "disentangle", path, "--text")
+        code, text_out, _ = run(capsys, "disentangle", path)
         assert code == 0
         report = json.loads(json_out)
         margin_lines = [
@@ -327,24 +329,16 @@ class TestRandomAndConvert:
         _, second, _ = run(capsys, "random", "--nA", "2", "--nB", "1", "--seed", "3")
         assert first == second
 
-    def test_convert_round_trip_is_byte_identical(self, tmp_path, capsys):
-        _, doc, _ = run(capsys, "random", "--nA", "1", "--nB", "2", "--seed", "5")
-        original = write_doc(tmp_path, "orig.json", doc)
-        code, blocked, _ = run(capsys, "convert", original, "--to", "blocked")
-        assert code == 0
-        blocked_path = write_doc(tmp_path, "blocked.json", blocked)
-        code, back, _ = run(capsys, "convert", blocked_path, "--to", "interleaved")
-        assert code == 0
-        assert json.loads(back)["sigma"] == json.loads(doc)["sigma"]
-        back_path = write_doc(tmp_path, "back.json", back)
-        code, blocked_again, _ = run(capsys, "convert", back_path, "--to", "blocked")
-        assert blocked_again == blocked
-
     def test_blocked_document_validates_identically(self, tmp_path, capsys):
         _, doc, _ = run(capsys, "random", "--nA", "1", "--nB", "1", "--seed", "9")
         original = write_doc(tmp_path, "orig.json", doc)
-        _, blocked, _ = run(capsys, "convert", original, "--to", "blocked")
+        blocked = json.loads(doc)
+        blocked["ordering"] = "blocked"
+        for key, convert in (("sigma", convert_ordering), ("mean", convert_vector_ordering)):
+            blocked[key] = convert(np.array(blocked[key]), Ordering.INTERLEAVED, Ordering.BLOCKED).tolist()
         blocked_path = write_doc(tmp_path, "blocked.json", blocked)
+        parsed = parse_input_document(json.dumps(blocked))
+        assert parsed.mean.tolist() == json.loads(doc)["mean"]
         code_a, out_a, _ = run(capsys, "validate", original, "--json")
         code_b, out_b, _ = run(capsys, "validate", blocked_path, "--json")
         assert code_a == code_b == 0
@@ -400,8 +394,7 @@ with open(doc, "w") as handle, contextlib.redirect_stdout(handle):
     # squeezed, but mixed enough to pass the PPT test, so that every command exits 0
     argv = ["random", "--nA", "2", "--nB", "2", "--seed", "3", "--squeeze", "0.3", "--mix", "2"]
     assert main(argv) == 0
-for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc],
-             ["williamson", doc], ["convert", doc, "--to", "blocked"]):
+for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc], ["williamson", doc]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code == 0, (argv, code)
@@ -458,15 +451,20 @@ def test_tmsv_demo_script_runs():
 def test_blocked_document_with_mean_reports_like_its_interleaved_form(tmp_path, capsys):
     cov = gaussep.random_covariance(ModePartition(2, 3), hbar=2.0, seed=11, squeeze_max=1.5)
     mean = np.linspace(-1.0, 2.0, cov.dim)
-    text = render_input_document(cov.sigma, cov.partition, 2.0, Ordering.INTERLEAVED, mean)
-    interleaved = write_doc(tmp_path, "i.json", text)
-    _, blocked, _ = run(capsys, "convert", interleaved, "--to", "blocked")
-    assert json.loads(blocked)["mean"] != mean.tolist()
+    doc = {"hbar": 2.0, "n_A": 2, "n_B": 3, "sigma": cov.sigma.tolist(), "mean": mean.tolist()}
+    interleaved = write_doc(tmp_path, "i.json", doc)
+    blocked = {
+        **doc,
+        "ordering": "blocked",
+        "sigma": convert_ordering(cov.sigma, Ordering.INTERLEAVED, Ordering.BLOCKED).tolist(),
+        "mean": convert_vector_ordering(mean, Ordering.INTERLEAVED, Ordering.BLOCKED).tolist(),
+    }
+    assert blocked["mean"] != mean.tolist()
     blocked_path = write_doc(tmp_path, "b.json", blocked)
-    code, back, _ = run(capsys, "convert", blocked_path, "--to", "interleaved")
-    assert code == 0 and back == text + "\n"
-    _, again, _ = run(capsys, "convert", write_doc(tmp_path, "back.json", back), "--to", "blocked")
-    assert again == blocked
+    for path in (blocked_path, interleaved):
+        parsed = parse_input_document(Path(path).read_text())
+        assert parsed.mean.tolist() == mean.tolist()
+        assert np.array_equal(parsed.cov.sigma, cov.sigma)
     for command in ("validate", "disentangle"):
         reports = []
         for path in (blocked_path, interleaved):
@@ -543,9 +541,12 @@ def test_tol_zero_is_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("hbar", ["inf", "nan", "-1", "0"])
 @pytest.mark.parametrize("command", ["validate", "disentangle", "ppt", "williamson"])
 def test_hbar_override_is_gated_by_name(tmp_path, capsys, command, hbar):
-    code, out, err = run(capsys, command, vacuum_doc(tmp_path), "--hbar", hbar)
+    # the document's hbar is the only one: every judging command refuses it by name
+    literal = {"inf": "Infinity", "nan": "NaN"}.get(hbar, hbar)
+    text = '{"hbar": %s, "n_A": 1, "n_B": 1, "sigma": %s}' % (literal, json.dumps(IDENTITY))
+    code, out, err = run(capsys, command, write_doc(tmp_path, "hbar.json", text))
     assert code == 2 and out == ""
-    # the gate's own message alone: no override warning, no sigma prefix
+    # the gate's own message alone, with no sigma prefix
     assert err.startswith("gaussep: hbar must be finite and positive")
     assert len(err.splitlines()) == 1
 
@@ -556,7 +557,7 @@ def test_random_hbar_is_gated(capsys):
     assert "hbar must be finite and positive" in err
 
 
-@pytest.mark.parametrize("command", [["validate"], ["disentangle"], ["convert", "--to", "blocked"]])
+@pytest.mark.parametrize("command", [["validate"], ["disentangle"]])
 def test_document_hbar_overflow_exits_2_naming_hbar(tmp_path, capsys, command):
     path = write_doc(
         tmp_path, "big.json",
@@ -708,6 +709,77 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, payloa
     assert expected in err
 
 
+BEYOND_FLOAT64 = "1" + "0" * 400  # a JSON integer that float() cannot convert
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('{"hbar": %s, "n_A": 1, "n_B": 1, "sigma": %s}' % (BEYOND_FLOAT64, IDENTITY), "field 'hbar'"),
+        (
+            '{"n_A": 1, "n_B": 1, "sigma": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
+            % BEYOND_FLOAT64,
+            "field 'sigma'",
+        ),
+        ('{"n_A": 1, "n_B": 1, "sigma": %s, "mean": [%s, 0, 0, 0]}' % (IDENTITY, BEYOND_FLOAT64), "field 'mean'"),
+        ('{"n_A": 1, "n_B": 1, "sigma": %s}' % ("[" * 100000 + "]" * 100000), "invalid JSON: "),
+        ('{"hbar": %s, "n_A": 1, "n_B": 1, "sigma": %s}' % ("1" * 5001, IDENTITY), "invalid JSON: "),
+    ],
+    ids=["hbar-int-overflow", "sigma-int-overflow", "mean-int-overflow", "deep-nesting", "5001-digits"],
+)
+def test_json_beyond_float64_or_parser_limits_exits_2(tmp_path, capsys, text, expected):
+    # exit 1 means a valid input failed its verdict: no malformed document may reach it
+    code, out, err = run_without_warnings(capsys, "validate", write_doc(tmp_path, "doc.json", text))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("gaussep: ") and expected in err
+    assert "set_int_max_str_digits" not in err
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_surface_is_pinned():
+    # a new option or subcommand has to change this test on purpose
+    subcommands = _subcommands(build_parser())
+    judging = {"file", "--tol", "--json"}
+    expected = {
+        "validate": judging, "disentangle": judging, "ppt": judging, "williamson": judging,
+        "random": {"--nA", "--nB", "--seed", "--squeeze", "--mix", "--hbar"},
+    }
+    assert set(subcommands) == set(expected)
+    for name, sub in subcommands.items():
+        options = set()
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                options.update(action.option_strings or [action.dest])
+        assert options == expected[name], name
+    # the default tolerance lives in the checks table only
+    assert f"(default {DEFAULT_TOL})" in subcommands["validate"].format_help()
+    # README's CLI code block lists exactly the parser's subcommands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert {line.split()[1] for line in block.splitlines() if line.startswith("gaussep ")} == set(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["convert", "doc.json", "--to", "blocked"], "invalid choice"),
+        (["validate", "doc.json", "--hbar", "2"], "unrecognized arguments"),
+        (["disentangle", "doc.json", "--text"], "unrecognized arguments"),
+    ],
+    ids=["convert", "hbar", "text"],
+)
+def test_removed_options_exit_2(capsys, argv, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert expected in capsys.readouterr().err
+
+
 #: Every numpy.linalg factorization and solve, as the benchmark's trace counts them.
 LINALG_FACTORIZATIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "cholesky")
 
@@ -739,7 +811,7 @@ def _count_factorizations(monkeypatch) -> dict:
 def test_factorization_budget(tmp_path, capsys, monkeypatch, command, expected):
     # statehood is decided once per call: disentangle --json reads ppt without a second gate
     cov = gaussep.random_covariance(ModePartition(2, 2), seed=5)
-    doc = render_input_document(cov.sigma, cov.partition, cov.hbar, Ordering.INTERLEAVED)
+    doc = render_input_document(cov)
     path = write_doc(tmp_path, "doc.json", doc)
     counts = _count_factorizations(monkeypatch)
     if command is None:
