@@ -20,7 +20,6 @@ from .phase_space import (
     ModePartition,
     Ordering,
     convert_ordering,
-    convert_vector_ordering,
     direct_sum,
     is_orthosymplectic,
     is_symplectic,
@@ -71,7 +70,6 @@ __all__ = [
     "WilliamsonForm",
     "admissible_S",
     "convert_ordering",
-    "convert_vector_ordering",
     "delta_matrix",
     "direct_sum",
     "disentangle",

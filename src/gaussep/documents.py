@@ -1,12 +1,13 @@
 """File formats of the command-line surface.
 
 One self-describing JSON document format carries covariance matrices in and
-out: named fields ``hbar``, ``ordering``, ``n_A``, ``n_B``, ``sigma`` (row
-major), optional ``mean``; parsing converts ``sigma`` and ``mean`` to the
+out: named fields ``hbar``, ``ordering``, ``n_A``, ``n_B`` and ``sigma`` (row
+major).  Separability is a property of the covariance alone, so any other
+key, a ``mean`` included, is ignored.  Parsing converts ``sigma`` to the
 interleaved ordering once and builds the ``CovarianceMatrix``, whose
-constructor is the one gate on ``sigma`` and ``hbar``.  Matrices are
-serialized at full precision (the shortest decimal that round-trips), so
-parsing a document back reproduces the exact floats.  Reports are plain JSON
+constructor is the one gate on ``sigma``'s values and on ``hbar``.
+Matrices are serialized at full precision (the shortest decimal that
+round-trips), so parsing a document back reproduces the exact floats.  Reports are plain JSON
 objects built in :mod:`.cli`.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import INGEST_WARN_TOL, relative_asymmetry
-from .phase_space import ModePartition, Ordering, convert_ordering, convert_vector_ordering
+from .phase_space import ModePartition, Ordering, convert_ordering
 from .spectral import CovarianceMatrix
 
 
@@ -64,10 +65,6 @@ def _as_matrix(raw, key: str) -> np.ndarray:
         raise DocumentError(f"field {key!r} must be a square matrix, got shape {matrix.shape}")
     # two dimensions: raw is a list of equally long lists of scalars
     _require_numbers(itertools.chain.from_iterable(raw), key)
-    if matrix.shape[0] % 2 != 0 or matrix.shape[0] == 0:
-        raise DocumentError(f"field {key!r} must have even positive dimension")
-    if not np.all(np.isfinite(matrix)):
-        raise DocumentError(f"field {key!r} contains non-finite entries")
     return matrix
 
 
@@ -90,10 +87,9 @@ def content_digest(raw: dict) -> str:
 
 @dataclass
 class InputDocument:
-    """A parsed document: its state's ``CovarianceMatrix``, interleaved ``mean``, digest and warnings."""
+    """A parsed document: its state's interleaved ``CovarianceMatrix``, digest and warnings."""
 
     cov: CovarianceMatrix
-    mean: np.ndarray
     digest: str
     warnings: list[str] = field(default_factory=list)
 
@@ -102,10 +98,12 @@ def parse_input_document(text: str) -> InputDocument:
     """Parse a covariance-matrix document into its ``CovarianceMatrix``.
 
     Raises DocumentError on any schema or consistency violation; a ``sigma``
-    or ``hbar`` that the ``CovarianceMatrix`` constructor refuses raises it
-    with the constructor's message.  An asymmetry above
-    ``checks.INGEST_WARN_TOL`` that the constructor accepts is repaired by it
-    and reported in ``warnings``.  ``cov`` and ``mean`` are interleaved.
+    or ``hbar`` that the ``CovarianceMatrix`` constructor refuses (an odd
+    dimension, a non-finite entry, an asymmetric or indefinite matrix, a
+    non-positive ``hbar``) raises it with the constructor's message.  An
+    asymmetry above ``checks.INGEST_WARN_TOL`` that the constructor accepts
+    is repaired by it and reported in ``warnings``.  Keys other than the five
+    fields, such as ``mean``, are not read.
     """
     raw = _parse_json(text)
     for key in ("n_A", "n_B", "sigma"):
@@ -122,10 +120,9 @@ def parse_input_document(text: str) -> InputDocument:
         raise DocumentError(str(exc)) from None
     sigma = _as_matrix(raw["sigma"], "sigma")
     if sigma.shape[0] != partition.dim:
-        raise DocumentError(
-            f"sigma is {sigma.shape[0]}x{sigma.shape[0]} but n_A + n_B = {partition.n} "
-            f"modes require {partition.dim}x{partition.dim}"
-        )
+        # worded from sigma alone: a huge n_A or n_B would make a huge or unprintable message
+        dim = sigma.shape[0]
+        raise DocumentError(f"sigma is {dim}x{dim} but n_A + n_B modes require 2(n_A + n_B) rows")
 
     try:
         cov = CovarianceMatrix(convert_ordering(sigma, ordering, Ordering.INTERLEAVED), partition, hbar)
@@ -135,38 +132,16 @@ def parse_input_document(text: str) -> InputDocument:
     asym = relative_asymmetry(sigma)
     if asym > INGEST_WARN_TOL:
         warnings.append(f"sigma symmetrized on ingest (relative asymmetry {asym:.3e})")
-
-    if "mean" in raw:
-        try:
-            mean = np.array(raw["mean"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DocumentError(f"field 'mean' is not a numeric vector: {exc}") from None
-        if mean.shape != (partition.dim,):
-            raise DocumentError(
-                f"mean has shape {mean.shape}, expected ({partition.dim},)"
-            )
-        _require_numbers(raw["mean"], "mean")
-        if not np.all(np.isfinite(mean)):
-            raise DocumentError("field 'mean' contains non-finite entries")
-    else:
-        mean = np.zeros(partition.dim)
-
-    return InputDocument(
-        cov=cov,
-        mean=convert_vector_ordering(mean, ordering, Ordering.INTERLEAVED),
-        digest=content_digest(raw),
-        warnings=warnings,
-    )
+    return InputDocument(cov=cov, digest=content_digest(raw), warnings=warnings)
 
 
 def render_input_document(cov: CovarianceMatrix) -> str:
-    """Serialize a covariance matrix as an interleaved input document with a zero mean (fixed key order)."""
+    """Serialize a covariance matrix as an interleaved input document (fixed key order)."""
     doc = {
         "hbar": cov.hbar,
         "ordering": Ordering.INTERLEAVED.value,
         "n_A": cov.partition.n_a,
         "n_B": cov.partition.n_b,
         "sigma": cov.sigma.tolist(),
-        "mean": [0.0] * cov.dim,
     }
     return json.dumps(doc, indent=2)

@@ -78,18 +78,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return J
 
 
-def _blocked_from_interleaved(n: int) -> np.ndarray:
-    # blocked position i reads interleaved position perm[i]: all x's, then all p's
-    return np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-
-
-def _ordering_index(n: int, frm: Ordering, to: Ordering) -> np.ndarray:
-    perm = _blocked_from_interleaved(n)
-    if (frm, to) == (Ordering.INTERLEAVED, Ordering.BLOCKED):
-        return perm
-    return np.argsort(perm)
-
-
 def convert_ordering(matrix: np.ndarray, frm: Ordering, to: Ordering) -> np.ndarray:
     """Re-index a 2n x 2n matrix between the two orderings.
 
@@ -100,18 +88,10 @@ def convert_ordering(matrix: np.ndarray, frm: Ordering, to: Ordering) -> np.ndar
     n = _require_even_square(matrix)
     if frm == to:
         return matrix.copy()
-    idx = _ordering_index(n, frm, to)
+    # blocked position i reads interleaved position perm[i]: all x's, then all p's
+    perm = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    idx = perm if to == Ordering.BLOCKED else np.argsort(perm)
     return matrix[np.ix_(idx, idx)]
-
-
-def convert_vector_ordering(vector: np.ndarray, frm: Ordering, to: Ordering) -> np.ndarray:
-    """Re-index a phase-space vector between the two orderings."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.ndim != 1 or vector.size % 2 != 0 or vector.size == 0:
-        raise ValueError(f"expected a vector of even length, got shape {vector.shape}")
-    if frm == to:
-        return vector.copy()
-    return vector[_ordering_index(vector.size // 2, frm, to)]
 
 
 def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:

@@ -103,8 +103,7 @@ def rotate_state(state: GaussianState, U: np.ndarray, tol: float = DEFAULT_TOL) 
     report = is_orthosymplectic(U, tol)
     if not report.passed:
         raise ValueError(f"matrix is not orthosymplectic (residuals {report.residuals})")
-    sigma = U @ state.cov.sigma @ U.T
-    cov = CovarianceMatrix(0.5 * (sigma + sigma.T), state.cov.partition, state.cov.hbar)
+    cov = CovarianceMatrix(U @ state.cov.sigma @ U.T, state.cov.partition, state.cov.hbar)
     return GaussianState(cov, U @ state.mean)
 
 

@@ -25,7 +25,7 @@ from gaussep import (
 from gaussep.checks import DEFAULT_TOL
 from gaussep.cli import build_parser, main
 from gaussep.documents import parse_input_document, render_input_document
-from gaussep.phase_space import Ordering, convert_ordering, convert_vector_ordering
+from gaussep.phase_space import Ordering, convert_ordering
 
 from helpers import raw_random_sigma
 
@@ -334,11 +334,12 @@ class TestRandomAndConvert:
         original = write_doc(tmp_path, "orig.json", doc)
         blocked = json.loads(doc)
         blocked["ordering"] = "blocked"
-        for key, convert in (("sigma", convert_ordering), ("mean", convert_vector_ordering)):
-            blocked[key] = convert(np.array(blocked[key]), Ordering.INTERLEAVED, Ordering.BLOCKED).tolist()
+        blocked["sigma"] = convert_ordering(
+            np.array(blocked["sigma"]), Ordering.INTERLEAVED, Ordering.BLOCKED
+        ).tolist()
         blocked_path = write_doc(tmp_path, "blocked.json", blocked)
         parsed = parse_input_document(json.dumps(blocked))
-        assert parsed.mean.tolist() == json.loads(doc)["mean"]
+        assert parsed.cov.sigma.tolist() == json.loads(doc)["sigma"]
         code_a, out_a, _ = run(capsys, "validate", original, "--json")
         code_b, out_b, _ = run(capsys, "validate", blocked_path, "--json")
         assert code_a == code_b == 0
@@ -448,22 +449,19 @@ def test_tmsv_demo_script_runs():
         assert "rotated state PPT: ppt" in block
 
 
-def test_blocked_document_with_mean_reports_like_its_interleaved_form(tmp_path, capsys):
+def test_blocked_document_reports_like_its_interleaved_form(tmp_path, capsys):
     cov = gaussep.random_covariance(ModePartition(2, 3), hbar=2.0, seed=11, squeeze_max=1.5)
-    mean = np.linspace(-1.0, 2.0, cov.dim)
-    doc = {"hbar": 2.0, "n_A": 2, "n_B": 3, "sigma": cov.sigma.tolist(), "mean": mean.tolist()}
+    doc = {"hbar": 2.0, "n_A": 2, "n_B": 3, "sigma": cov.sigma.tolist()}
     interleaved = write_doc(tmp_path, "i.json", doc)
     blocked = {
         **doc,
         "ordering": "blocked",
         "sigma": convert_ordering(cov.sigma, Ordering.INTERLEAVED, Ordering.BLOCKED).tolist(),
-        "mean": convert_vector_ordering(mean, Ordering.INTERLEAVED, Ordering.BLOCKED).tolist(),
     }
-    assert blocked["mean"] != mean.tolist()
+    assert blocked["sigma"] != doc["sigma"]
     blocked_path = write_doc(tmp_path, "b.json", blocked)
     for path in (blocked_path, interleaved):
         parsed = parse_input_document(Path(path).read_text())
-        assert parsed.mean.tolist() == mean.tolist()
         assert np.array_equal(parsed.cov.sigma, cov.sigma)
     for command in ("validate", "disentangle"):
         reports = []
@@ -630,10 +628,8 @@ IDENTITY = np.eye(4).tolist()
         ("sigma", {"sigma": [[True, 0, 0, 0], [0, True, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}),
         ("sigma", {"sigma": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0], [0, 0, 0, "1.0"]]}),
         ("sigma", {"sigma": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, None]]}),
-        ("mean", {"sigma": IDENTITY, "mean": ["0", 0, 0, 0]}),
-        ("mean", {"sigma": IDENTITY, "mean": [0, False, 0, 0]}),
     ],
-    ids=["sigma-bool", "sigma-string", "sigma-null", "mean-string", "mean-bool"],
+    ids=["sigma-bool", "sigma-string", "sigma-null"],
 )
 def test_document_entries_must_be_json_numbers(tmp_path, capsys, field, payload):
     path = write_doc(tmp_path, "doc.json", {"n_A": 1, "n_B": 1, **payload})
@@ -682,19 +678,20 @@ def test_tiny_non_states_fail_relative_to_their_own_norm(tmp_path, capsys):
             {"sigma": [[1, 0], [0, 1], [0, 0], [0, 0]]},
             "field 'sigma' must be a square matrix, got shape (4, 2)",
         ),
-        (["disentangle"], {"sigma": IDENTITY, "mean": [0, 0, 0]}, "mean has shape (3,), expected (4,)"),
-        # Python's json reads the NaN literal
+        # Python's json reads the NaN literal; the constructor's gate names the fault
         (
             ["disentangle"],
-            '{"n_A": 1, "n_B": 1, "sigma": %s, "mean": [0, NaN, 0, 0]}' % IDENTITY,
-            "field 'mean' contains non-finite entries",
+            '{"n_A": 1, "n_B": 1, "sigma": [[1, 0, 0, 0], [0, NaN, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            "sigma contains non-finite entries",
         ),
+        (["validate"], {"sigma": np.eye(3).tolist()}, "sigma is 3x3 but n_A + n_B modes require"),
+        (["ppt"], {"sigma": np.eye(6).tolist()}, "sigma is 6x6 but n_A + n_B modes require"),
         (["ppt"], {"sigma": IDENTITY, "hbar": "1"}, "field 'hbar' must be a number, got str"),
         (["williamson"], None, "cannot read"),
     ],
     ids=[
-        "top-level-array", "ragged-sigma", "non-square-sigma", "mean-shape", "mean-nan",
-        "hbar-string", "unreadable-path",
+        "top-level-array", "ragged-sigma", "non-square-sigma", "sigma-nan", "odd-sigma",
+        "sigma-too-large", "hbar-string", "unreadable-path",
     ],
 )
 def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, argv, payload, expected):
@@ -721,11 +718,10 @@ BEYOND_FLOAT64 = "1" + "0" * 400  # a JSON integer that float() cannot convert
             % BEYOND_FLOAT64,
             "field 'sigma'",
         ),
-        ('{"n_A": 1, "n_B": 1, "sigma": %s, "mean": [%s, 0, 0, 0]}' % (IDENTITY, BEYOND_FLOAT64), "field 'mean'"),
         ('{"n_A": 1, "n_B": 1, "sigma": %s}' % ("[" * 100000 + "]" * 100000), "invalid JSON: "),
         ('{"hbar": %s, "n_A": 1, "n_B": 1, "sigma": %s}' % ("1" * 5001, IDENTITY), "invalid JSON: "),
     ],
-    ids=["hbar-int-overflow", "sigma-int-overflow", "mean-int-overflow", "deep-nesting", "5001-digits"],
+    ids=["hbar-int-overflow", "sigma-int-overflow", "deep-nesting", "5001-digits"],
 )
 def test_json_beyond_float64_or_parser_limits_exits_2(tmp_path, capsys, text, expected):
     # exit 1 means a valid input failed its verdict: no malformed document may reach it
@@ -734,6 +730,44 @@ def test_json_beyond_float64_or_parser_limits_exits_2(tmp_path, capsys, text, ex
     assert len(err.splitlines()) == 1
     assert err.startswith("gaussep: ") and expected in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("digits", [300, 4300])
+@pytest.mark.parametrize("field", ["n_A", "n_B"])
+def test_huge_mode_count_exits_2_with_one_short_line(tmp_path, capsys, field, digits):
+    # 4300 nines plus one has 4301 digits, one more than CPython prints by default
+    text = json.dumps({"n_A": 1, "n_B": 1, "sigma": IDENTITY, field: 0})
+    text = text.replace(f'"{field}": 0', f'"{field}": {"9" * digits}')
+    code, out, err = run_without_warnings(capsys, "validate", write_doc(tmp_path, "doc.json", text))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+    assert "sigma" in err or field in err
+
+
+MEAN_VALUES = {
+    "valid": "[0.5, -1.0, 2.0, 0.0]",
+    "nan": "[0, NaN, 0, 0]",
+    "wrong-length": "[0, 0, 0]",
+    "strings": '["0", "x", null, true]',
+    "beyond-float64": "[%s, 0, 0, 0]" % BEYOND_FLOAT64,
+}
+
+
+@pytest.mark.parametrize("mean", MEAN_VALUES.values(), ids=MEAN_VALUES.keys())
+def test_a_mean_key_is_ignored(tmp_path, capsys, mean):
+    # separability is a property of the covariance alone: no command reads a mean
+    sigma = two_mode_squeezed_vacuum(0.5, hbar=2.0).sigma.tolist()
+    doc = json.dumps({"hbar": 2.0, "n_A": 1, "n_B": 1, "sigma": sigma})
+    plain = write_doc(tmp_path, "plain.json", doc)
+    with_mean = write_doc(tmp_path, "mean.json", '{"mean": %s, %s' % (mean, doc[1:]))
+    for command in ("validate", "disentangle", "ppt", "williamson"):
+        results = []
+        for path in (plain, with_mean):
+            code, out, err = run_without_warnings(capsys, command, path, "--json")
+            report = json.loads(out)
+            assert report.pop("input_digest")
+            results.append((code, report, err))
+        assert results[0] == results[1], command
 
 
 def _subcommands(parser):

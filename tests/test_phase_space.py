@@ -7,7 +7,6 @@ from gaussep import (
     ModePartition,
     Ordering,
     convert_ordering,
-    convert_vector_ordering,
     direct_sum,
     is_orthosymplectic,
     is_symplectic,
@@ -69,24 +68,11 @@ def test_convert_round_trip_bit_exact(seed, n):
     M = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
     for a, b in [(Ordering.INTERLEAVED, Ordering.BLOCKED), (Ordering.BLOCKED, Ordering.INTERLEAVED)]:
         assert np.array_equal(convert_ordering(convert_ordering(M, a, b), b, a), M)
-    v = np.random.default_rng(seed + 1).standard_normal(2 * n)
-    round_trip = convert_vector_ordering(
-        convert_vector_ordering(v, Ordering.INTERLEAVED, Ordering.BLOCKED),
-        Ordering.BLOCKED,
-        Ordering.INTERLEAVED,
-    )
-    assert np.array_equal(round_trip, v)
 
 
 def test_convert_rejects_odd_dimension():
     with pytest.raises(ValueError):
         convert_ordering(np.eye(3), Ordering.INTERLEAVED, Ordering.BLOCKED)
-
-
-@pytest.mark.parametrize("vector", [np.zeros(3), np.zeros(0), np.zeros((2, 2))])
-def test_convert_vector_rejects_odd_length_empty_and_matrices(vector):
-    with pytest.raises(ValueError, match="^expected a vector of even length, got shape"):
-        convert_vector_ordering(vector, Ordering.INTERLEAVED, Ordering.BLOCKED)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
