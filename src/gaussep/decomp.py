@@ -26,6 +26,7 @@ from .checks import (
 )
 from .phase_space import (
     _complex_frame,
+    _gram_operand,
     is_orthosymplectic,
     is_symplectic,
     symplectic_form,
@@ -135,12 +136,12 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
     (``UNIT_BAND`` n eps kappa(P)) cannot tell from 1 form the unit class,
     split into planes by the complex eigenvectors of J restricted to it, one
     vector v per plane with lambda = 1; every larger eigenvalue keeps its
-    own v and lambda; (iv) U^T gets columns (v_1, -J v_1, v_2, -J v_2, ...), where
-    -J v is an eigenvector for 1/lambda (from P J = J P^(-1)), with modes
-    sorted by lambda descending; (v) U is replaced by its orthogonal polar
-    factor, which still commutes with J, so roundoff in the eigenvectors of
-    nearly reciprocal classes cannot take U out of U(n); (vi) every
-    RotationDiagonalization invariant is verified.
+    own v and lambda; (iv) column k of the n x n complex b is x + ip of the
+    k-th v by lambda descending, and i times it is -J v, an eigenvector for
+    1/lambda (from P J = J P^(-1)); (v) U^T is the real form of b's unitary
+    polar factor u, columns (v_1, -J v_1, ...) up to that snap, so U is in
+    U(n) by type however roundoff bends nearly reciprocal classes; (vi) the
+    unitarity of u and P = U^T Delta U are verified.
 
     Raises
     ------
@@ -196,30 +197,22 @@ def _rotation_from_eigensystem(
         planes = _complex_frame(V[:, n - k : n + k], symplectic_form(n))[1]
         upper = np.hstack([upper, planes[:, 0::2]])
         lam = np.concatenate([lam, np.ones(k)])
-    # every companion is -Jv
-    companions = np.empty_like(upper)
-    companions[0::2] = -upper[1::2]
-    companions[1::2] = upper[0::2]
-
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    basis = np.empty((2 * n, 2 * n))
-    basis[:, 0::2] = upper[:, order]
-    basis[:, 1::2] = companions[:, order]
-    # (v, -Jv) columns make the basis commute with J, and so does its orthogonal
-    # polar factor: snapping onto it restores the orthogonality that
-    # eigenvectors of nearly reciprocal classes lose, and keeps U in U(n)
-    left, _, right = np.linalg.svd(basis)
-    U = (left @ right).T
-
-    rot_rep = is_orthosymplectic(U, tol)
+    # (v, -Jv) is (z, iz) for z = x + ip; the unitary polar factor of the z columns
+    # restores the orthogonality that eigenvectors of nearly reciprocal classes lose
+    left, _, right = np.linalg.svd(upper[0::2, order] + 1j * upper[1::2, order])
+    u = left @ right
+    Ut = np.empty((2 * n, 2 * n))
+    Ut[0::2, 0::2] = Ut[1::2, 1::2] = u.real
+    Ut[1::2, 0::2] = u.imag
+    Ut[0::2, 1::2] = -u.imag
+    U = Ut.T
+    # a group check, relative to max(1, ||u||^2); fro reads complex arrays as real views
+    unitary = fro((u.conj().T @ u - np.eye(n)).view(float)) / _gram_operand(u.view(float))[2]
     # U^T Delta U, with the diagonal Delta applied as a column scaling
-    recon = fro((U.T * _delta_diagonal(lam)) @ U - P) / fro(P)
-    residuals = {
-        "rotation_orthogonal": rot_rep.residuals["orthogonal"],
-        "rotation_symplectic": rot_rep.residuals["symplectic"],
-        "reconstruction": recon,
-    }
-    if not rot_rep.passed or recon > tol:
+    recon = fro((Ut * _delta_diagonal(lam)) @ U - P) / fro(P)
+    residuals = {"rotation_unitary": unitary, "reconstruction": recon}
+    if unitary > tol or recon > tol:
         raise VerificationError(f"rotation diagonalization verification failed: {residuals}")
     return RotationDiagonalization(U=U, lambdas=lam, residuals=residuals)

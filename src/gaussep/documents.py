@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,9 @@ def _as_float(raw, key: str) -> float:
 
 def _as_positive_int(raw, key: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise DocumentError(f"field {key!r} must be a positive integer, got {raw!r}")
+        # worded from the type and sign: echoing a huge value would make a huge message
+        got = type(raw).__name__ if type(raw) is not int else "0" if raw == 0 else "a negative integer"
+        raise DocumentError(f"field {key!r} must be a positive integer, got {got}")
     return raw
 
 
@@ -77,12 +80,6 @@ def _parse_json(text: str) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     return raw
-
-
-def content_digest(raw: dict) -> str:
-    """Digest of the parsed document, stable against whitespace and key order."""
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass
@@ -132,7 +129,10 @@ def parse_input_document(text: str) -> InputDocument:
     asym = relative_asymmetry(sigma)
     if asym > INGEST_WARN_TOL:
         warnings.append(f"sigma symmetrized on ingest (relative asymmetry {asym:.3e})")
-    return InputDocument(cov=cov, digest=content_digest(raw), warnings=warnings)
+    # the parsed state's digest: hbar, n_A and n_B, then the symmetrized interleaved sigma
+    header = struct.pack("<dqq", cov.hbar, n_a, n_b)
+    digest = "sha256:" + hashlib.sha256(header + cov.sigma.tobytes()).hexdigest()
+    return InputDocument(cov=cov, digest=digest, warnings=warnings)
 
 
 def render_input_document(cov: CovarianceMatrix) -> str:

@@ -74,12 +74,12 @@ class SeparabilityWitness:
 class DisentangleResult:
     """Rotation U, rotated covariance, witness, mode stretches, and every check.
 
-    ``residuals`` holds the four stage residuals of P and the rotation, which no
+    ``residuals`` holds the three stage residuals of P and the rotation, which no
     report carries.  The reports the pipeline computed on the way are kept as
     well: ``quantum_condition`` for the input, its ``symplectic_eigenvalues``
     (descending) and ``werner_wolf`` for ``witness`` against ``sigma_U``.
-    The witness is one block ``(hbar/2) diag(lambda_k^2, lambda_k^-2)`` per
-    mode, so it certifies ``sigma_U`` as fully n-partite separable, not only A|B.
+    The witness is one block ``min(hbar/2, nu_min) diag(lambda_k^2, lambda_k^-2)``
+    per mode, so it certifies ``sigma_U`` as fully n-partite separable, not only A|B.
     """
 
     U: np.ndarray
@@ -101,8 +101,9 @@ def werner_wolf_check(
     (iii) Sigma - Sigma_A (+) Sigma_B >= 0.  The margin is the smallest of
     the three minimum eigenvalues, gated at ``-tol * ||Sigma||``.
     Conditions landing within the gate of zero are flagged in ``note``;
-    the witness blocks of the disentangling pipeline are minimal-uncertainty
-    states, so (i) and (ii) sit on the boundary by design.
+    the pipeline's witness blocks are minimal-uncertainty states at the
+    input's own limit ``min(hbar/2, nu_min)``: on the boundary of (i) and (ii)
+    by design, or outside it by the input's own defect.
     """
     if witness.n_a != cov.partition.n_a or witness.n_b != cov.partition.n_b:
         raise ValueError(
@@ -138,12 +139,13 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
     ``P = (S S^T)^(1/2) = W diag(sigma) W^T`` of every admissible S from the
     SVD ``M = Sigma^(1/2) Y s^(-1/2) = W sigma Z^T``; rotation
     diagonalization P = U^T Delta U from the eigensystem (sigma, W); rotated
-    matrix Sigma_U = U Sigma U^T; witness blocks (hbar/2) Delta_A^2 and
-    (hbar/2) Delta_B^2, one single-mode block per mode, so a pass certifies
-    Sigma_U as fully n-partite separable.  Every stage is verified once: P must
-    be symplectic, U orthosymplectic with U^T Delta U = P, and the witness must
-    pass the Werner-Wolf check against Sigma_U, whose condition (iii) is the
-    squeeze bound (hbar/2) Delta^2 <= Sigma_U.  Each number is stored once: the
+    matrix Sigma_U = U Sigma U^T; witness blocks nu_eff Delta_A^2 and
+    nu_eff Delta_B^2 with ``nu_eff = min(hbar/2, nu_min)``, one single-mode
+    block per mode, so a pass certifies Sigma_U as fully n-partite separable.
+    Every stage is verified once: P must be symplectic, U the real form of a
+    unitary u with U^T Delta U = P, and the witness must pass the Werner-Wolf
+    check against Sigma_U, whose condition (iii) is the squeeze bound
+    nu_eff Delta^2 <= Sigma_U.  Each number is stored once: the
     margins in the two reports, the other stage residuals in ``residuals``.
     The run is deterministic: identical inputs produce identical outputs.
 
@@ -176,15 +178,16 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
 
     U = rotation.U
     lam = rotation.lambdas
-    half = 0.5 * cov.hbar
     try:
         sigma_U = CovarianceMatrix(U @ cov.sigma @ U.T, cov.partition, cov.hbar)
     except ValueError as exc:
         # the constructor's message names its matrix sigma, which here is not the input
         raise ValueError(f"the rotated matrix sigma_U{str(exc).removeprefix('sigma')}") from exc
 
+    # at the input's own quantum limit: a stored state may sit below hbar/2 by roundoff
+    nu_eff = min(0.5 * cov.hbar, float(nu[-1]))
     d = _delta_diagonal(lam)
-    w = (half * d) * d
+    w = (nu_eff * d) * d
     cut = 2 * cov.partition.n_a
     witness = SeparabilityWitness(np.diag(w[:cut]), np.diag(w[cut:]), cov.hbar)
 
@@ -197,8 +200,7 @@ def disentangle(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> DisentangleR
 
     residuals = {
         "P_symplectic": p_symplectic,
-        "rotation_orthogonal": rotation.residuals["rotation_orthogonal"],
-        "rotation_symplectic": rotation.residuals["rotation_symplectic"],
+        "rotation_unitary": rotation.residuals["rotation_unitary"],
         "rotation_reconstruction": rotation.residuals["reconstruction"],
     }
     return DisentangleResult(

@@ -172,6 +172,24 @@ class TestDisentangle:
         assert np.allclose(report["lambdas"], 1.0 + 1e-9, rtol=0.0, atol=1e-14)
         assert report["werner_wolf"]["passed"] is True
 
+    @pytest.mark.parametrize("r", [7.0, 8.0, 9.0])
+    def test_strong_tmsv_exits_0(self, tmp_path, capsys, r):
+        # the float64 TMSV sits below hbar/2 by roundoff; the witness is built at its nu_min
+        code, out, err = run(capsys, "disentangle", tmsv_doc(tmp_path, r=r), "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["verdict"] == "pass" and report["symplectic_eigenvalues"][-1] < 0.5
+
+    def test_pure_states_a_hair_inside_the_limit_exit_0_or_1(self, tmp_path, capsys):
+        # 0.5 (1 - 1e-9) S S^T: the statehood gate refuses 10 of 40 (exit 1), none exits 3
+        codes = []
+        for seed in range(40):
+            S = gaussep.random_symplectic(4, np.random.default_rng(seed))
+            sigma = 0.5 * (1.0 - 1e-9) * S @ S.T
+            doc = {"n_A": 2, "n_B": 2, "sigma": (0.5 * (sigma + sigma.T)).tolist()}
+            codes.append(run(capsys, "disentangle", write_doc(tmp_path, "p.json", doc))[0])
+        assert codes.count(0) == 30 and codes.count(1) == 10
+
     def test_vacuum_report(self, tmp_path, capsys):
         code, out, _ = run(capsys, "disentangle", vacuum_doc(tmp_path), "--json")
         assert code == 0
@@ -438,12 +456,12 @@ def test_importing_the_cli_does_not_load_scipy():
 def test_tmsv_demo_script_runs():
     script = Path(__file__).resolve().parents[1] / "scripts" / "disentangle_tmsv.py"
     result = subprocess.run(
-        [sys.executable, str(script), "1e-9", "0.5", "1"],
+        [sys.executable, str(script), "1e-9", "0.5", "1", "7"],
         capture_output=True, text=True, env=_subprocess_env(),
     )
     assert result.returncode == 0, result.stderr
     blocks = result.stdout.strip().split("\n\n")
-    assert [block.splitlines()[0] for block in blocks] == ["r = 1e-09", "r = 0.5", "r = 1.0"]
+    assert [block.splitlines()[0] for block in blocks] == ["r = 1e-09", "r = 0.5", "r = 1.0", "r = 7.0"]
     for block in blocks:
         assert "(pass)" in block
         assert "rotated state PPT: ppt" in block
@@ -468,7 +486,7 @@ def test_blocked_document_reports_like_its_interleaved_form(tmp_path, capsys):
         for path in (blocked_path, interleaved):
             code, out, _ = run(capsys, command, path, "--json")
             assert code == 0
-            reports.append({k: v for k, v in json.loads(out).items() if k != "input_digest"})
+            reports.append(json.loads(out))
         assert reports[0] == reports[1]
 
 
@@ -732,12 +750,22 @@ def test_json_beyond_float64_or_parser_limits_exits_2(tmp_path, capsys, text, ex
     assert "set_int_max_str_digits" not in err
 
 
-@pytest.mark.parametrize("digits", [300, 4300])
-@pytest.mark.parametrize("field", ["n_A", "n_B"])
-def test_huge_mode_count_exits_2_with_one_short_line(tmp_path, capsys, field, digits):
+HUGE_MODE_COUNTS = {
+    "300": "9" * 300,
     # 4300 nines plus one has 4301 digits, one more than CPython prints by default
+    "4300": "9" * 4300,
+    "negative-4300": "-" + "9" * 4300,
+    "long-string": json.dumps("9" * 4300),
+    "long-list": json.dumps([9] * 2000),
+}
+
+
+@pytest.mark.parametrize("value", HUGE_MODE_COUNTS.values(), ids=HUGE_MODE_COUNTS.keys())
+@pytest.mark.parametrize("field", ["n_A", "n_B"])
+def test_huge_mode_count_exits_2_with_one_short_line(tmp_path, capsys, field, value):
+    # the message is worded from the value's type and sign, never from the value
     text = json.dumps({"n_A": 1, "n_B": 1, "sigma": IDENTITY, field: 0})
-    text = text.replace(f'"{field}": 0', f'"{field}": {"9" * digits}')
+    text = text.replace(f'"{field}": 0', f'"{field}": {value}')
     code, out, err = run_without_warnings(capsys, "validate", write_doc(tmp_path, "doc.json", text))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and len(err.encode()) < 200
@@ -764,9 +792,7 @@ def test_a_mean_key_is_ignored(tmp_path, capsys, mean):
         results = []
         for path in (plain, with_mean):
             code, out, err = run_without_warnings(capsys, command, path, "--json")
-            report = json.loads(out)
-            assert report.pop("input_digest")
-            results.append((code, report, err))
+            results.append((code, json.loads(out), err))
         assert results[0] == results[1], command
 
 

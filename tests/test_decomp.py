@@ -10,6 +10,7 @@ from gaussep import (
     ModePartition,
     PairingError,
     delta_matrix,
+    disentangle,
     is_orthosymplectic,
     is_symplectic,
     ortho_diagonalize,
@@ -20,7 +21,10 @@ from gaussep import (
     symplectic_form,
     symplectic_polar,
 )
+from gaussep import separability
+from gaussep.decomp import _rotation_from_eigensystem
 from gaussep.phase_space import _complex_frame
+from helpers import acceptance_states, near_unit_corpus
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -161,6 +165,30 @@ class TestOrthoDiagonalize:
         result = ortho_diagonalize(P)
         assert np.array_equal(result.U, U)
         assert np.array_equal(result.lambdas, lam)
+        # the real 2n x 2n snap of the same (v, -Jv) basis is the same polar factor
+        U_real, lam_real = _real_snap_rotation(P, *np.linalg.eigh(P))
+        assert np.array_equal(result.lambdas, lam_real)
+        assert np.max(np.abs(result.U - U_real)) <= 1e-13
+
+
+def test_pipeline_rotation_commutes_with_J_exactly(monkeypatch):
+    # U is the real form of an n x n unitary, so U J = J U holds bit for bit, and it
+    # stays within 1e-13 of the real snap of the same basis, with the same lambdas
+    seen = []
+
+    def recording(P, w, V, tol):
+        seen.append((P, w, V))
+        return _rotation_from_eigensystem(P, w, V, tol)
+
+    monkeypatch.setattr(separability, "_rotation_from_eigensystem", recording)
+    covs = [cov for _, cov in acceptance_states()] + [cov for _, cov in near_unit_corpus(60)]
+    for i, cov in enumerate(covs):
+        result = disentangle(cov)
+        J = symplectic_form(cov.n)
+        assert np.array_equal(result.U @ J, J @ result.U), i
+        U_real, lam_real = _real_snap_rotation(*seen[-1])
+        assert np.array_equal(result.lambdas, lam_real), i
+        assert np.max(np.abs(result.U - U_real)) <= 1e-13, i
 
 
 def _rotated_delta(lambdas, seed=6):
@@ -170,8 +198,8 @@ def _rotated_delta(lambdas, seed=6):
     return 0.5 * (P + P.T)
 
 
-def _loop_rotation(P, w, V):
-    """Reference: the (v, -Jv) basis assembled mode by mode, sorted, then snapped.
+def _loop_modes(P, w, V):
+    """Reference modes ``(lambda, v)`` sorted by lambda descending.
 
     Eigenvalues pair by position in the ascending ``w``; the unit class is the
     middle 2k of them within 8 n eps kappa(P) of 1.
@@ -186,12 +214,42 @@ def _loop_rotation(P, w, V):
         modes += [(1.0, planes[:, c]) for c in range(0, 2 * k, 2)]
     lam = np.array([mode[0] for mode in modes])
     order = np.argsort(-lam, kind="stable")
+    return lam[order], [modes[idx][1] for idx in order]
+
+
+def _loop_rotation(P, w, V):
+    """Reference: x + ip of each mode's v as a complex column, snapped by a complex SVD.
+
+    ``U^T`` is the real form of the unitary polar factor u: column 2k holds
+    (Re, Im) of u's column k, column 2k + 1 those of i times it.
+    """
+    n = P.shape[0] // 2
+    lam, vectors = _loop_modes(P, w, V)
+    b = np.empty((n, n), dtype=complex)
+    for pos, v in enumerate(vectors):
+        b[:, pos] = v[0::2] + 1j * v[1::2]
+    left, _, right = np.linalg.svd(b)
+    u = left @ right
+    Ut = np.empty((2 * n, 2 * n))
+    for pos in range(n):
+        Ut[0::2, 2 * pos] = u[:, pos].real
+        Ut[1::2, 2 * pos] = u[:, pos].imag
+        Ut[0::2, 2 * pos + 1] = (1j * u[:, pos]).real
+        Ut[1::2, 2 * pos + 1] = (1j * u[:, pos]).imag
+    return Ut.T, lam
+
+
+def _real_snap_rotation(P, w, V):
+    """Tolerance reference: the real (v, -Jv) basis snapped to its orthogonal polar factor."""
+    n = P.shape[0] // 2
+    J = symplectic_form(n)
+    lam, vectors = _loop_modes(P, w, V)
     basis = np.empty((2 * n, 2 * n))
-    for pos, idx in enumerate(order):
-        basis[:, 2 * pos] = modes[idx][1]
-        basis[:, 2 * pos + 1] = -J @ modes[idx][1]
+    for pos, v in enumerate(vectors):
+        basis[:, 2 * pos] = v
+        basis[:, 2 * pos + 1] = -J @ v
     left, _, right = np.linalg.svd(basis)
-    return (left @ right).T, lam[order]
+    return (left @ right).T, lam
 
 
 class TestDeltaHelpers:

@@ -34,6 +34,7 @@ from helpers import (
     antisymmetric_perturbation,
     near_unit_corpus,
     pure_2_2_state,
+    raw_random_sigma,
     symplectic_spectrum_oracle,
     two_mode_squeezer,
 )
@@ -189,12 +190,15 @@ class TestDisentangle:
         assert gap >= -1e-9 * np.linalg.norm(cov.sigma)
 
     def test_squeeze_bound_gate_raises_first(self):
-        # the squeeze bound is Werner-Wolf condition (iii), gated once: on TMSV r = 7
-        # the Werner-Wolf error names that condition as the tightest
+        # the squeeze bound is Werner-Wolf condition (iii), gated once with (i) and (ii):
+        # on this state at the float64 limit the error names the tightest condition
+        part = ModePartition(2, 2)
+        cov = CovarianceMatrix(raw_random_sigma(part, seed=0, squeeze_max=6.5), part)
         with pytest.raises(
-            VerificationError, match="^witness failed the Werner-Wolf check: domination_min_eig -"
+            VerificationError,
+            match=r"^witness failed the Werner-Wolf check: B_quantum_min_eig -7\.6\d\de-03$",
         ):
-            disentangle(two_mode_squeezed_vacuum(7.0))
+            disentangle(cov)
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_pure_states_reach_equality(self, seed):
@@ -232,25 +236,30 @@ def family_results():
     return [(cov, disentangle(cov)) for cov in covs]
 
 
+def _nu_eff(cov, result):
+    """The witness's limit: hbar/2, or the input's own nu_min where roundoff put it below."""
+    return min(0.5 * cov.hbar, result.symplectic_eigenvalues[-1])
+
+
 class TestPerModeWitness:
-    """The witness is (+)_k (hbar/2) diag(lambda_k^2, lambda_k^-2): one block per mode."""
+    """The witness is (+)_k nu_eff diag(lambda_k^2, lambda_k^-2): one block per mode."""
 
     def test_matches_the_dense_delta_reference_bit_for_bit(self, family_results):
         for cov, result in family_results:
-            half = 0.5 * cov.hbar
+            nu_eff = _nu_eff(cov, result)
             d_a = delta_matrix(result.lambdas[: cov.partition.n_a])
             d_b = delta_matrix(result.lambdas[cov.partition.n_a :])
-            assert np.array_equal(result.witness.sigma_a, half * d_a @ d_a)
-            assert np.array_equal(result.witness.sigma_b, half * d_b @ d_b)
+            assert np.array_equal(result.witness.sigma_a, nu_eff * d_a @ d_a)
+            assert np.array_equal(result.witness.sigma_b, nu_eff * d_b @ d_b)
 
     def test_every_mode_is_a_minimal_uncertainty_block(self, family_results):
         for cov, result in family_results:
             w = direct_sum(result.witness.sigma_a, result.witness.sigma_b)
             assert np.array_equal(w, np.diag(np.diag(w)))
             diag = np.diag(w)
-            # det of each 2x2 block is (hbar/2)^2: three roundings per diagonal entry
+            # det of each 2x2 block is nu_eff^2: three roundings per diagonal entry
             det = diag[0::2] * diag[1::2]
-            assert np.all(np.abs(det / (0.5 * cov.hbar) ** 2 - 1.0) <= 8 * EPS)
+            assert np.all(np.abs(det / _nu_eff(cov, result) ** 2 - 1.0) <= 8 * EPS)
 
     def test_werner_wolf_holds_for_every_contiguous_cut(self, family_results):
         # the same witness, split at mode m, certifies Sigma_U for the cut m | n - m
