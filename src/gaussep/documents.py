@@ -54,16 +54,17 @@ def _require_numbers(entries, key: str) -> None:
     """
     for entry in entries:
         if type(entry) not in (int, float):
-            raise DocumentError(
-                f"field {key!r} must hold only numbers, got {type(entry).__name__} {entry!r}"
-            )
+            raise DocumentError(f"field {key!r} must hold only numbers, got {type(entry).__name__}")
 
 
 def _as_matrix(raw, key: str) -> np.ndarray:
     try:
         matrix = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"field {key!r} is not a numeric matrix: {exc}") from None
+    except OverflowError:  # a JSON integer past the float64 maximum
+        raise DocumentError(f"field {key!r} has an entry beyond the float64 range") from None
+    except (TypeError, ValueError):
+        # not numpy's message, which can quote a huge entry or describe a huge shape
+        raise DocumentError(f"field {key!r} is not a numeric matrix") from None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DocumentError(f"field {key!r} must be a square matrix, got shape {matrix.shape}")
     # two dimensions: raw is a list of equally long lists of scalars

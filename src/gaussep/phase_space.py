@@ -29,11 +29,11 @@ class Ordering(enum.Enum):
     @classmethod
     def parse(cls, tag: str) -> "Ordering":
         try:
-            return cls(str(tag).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown ordering {tag!r}; expected 'interleaved' or 'blocked'"
-            ) from None
+            return cls(tag.lower())
+        except (AttributeError, ValueError):
+            # worded from the type: echoing a huge tag would make a huge message
+            got = "another string" if isinstance(tag, str) else type(tag).__name__
+            raise ValueError(f"ordering must be 'interleaved' or 'blocked', got {got}") from None
 
 
 @dataclass(frozen=True)

@@ -227,14 +227,11 @@ def ppt_test(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     1 x m partitions, which the note spells out rather than overclaiming.
     A non-state has no partial transpose to judge: the statehood gate
     ``spectral._require_state`` runs first, as in ``disentangle``, and raises
-    QuantumConditionError carrying the failing report.
+    QuantumConditionError carrying the failing report.  ``disentangle``
+    does not call this test, since the Werner-Wolf witness is its
+    certificate; ``gaussep ppt`` reports it.
     """
     _require_state(cov, tol, "cannot run the PPT test")
-    return _ppt(cov, tol)
-
-
-def _ppt(cov: CovarianceMatrix, tol: float) -> CheckReport:
-    """``ppt_test`` for a ``cov`` that has passed the statehood gate at ``tol``."""
     flipped = direct_sum(symplectic_form(cov.partition.n_a), -symplectic_form(cov.partition.n_b))
     report = _quantum_condition(cov, tol, flipped)[0]
     residuals = dict(report.residuals)

@@ -161,7 +161,7 @@ class TestDisentangle:
         assert np.allclose(
             np.diag(sigma_a), [0.5 * math.e**2, 0.5 * math.e**-2], atol=1e-9
         )
-        assert report["ppt"]["note"].startswith("entangled")
+        assert "ppt" not in report
         assert report["werner_wolf"]["passed"] is True
 
     def test_near_unit_tmsv_report(self, tmp_path, capsys):
@@ -760,12 +760,27 @@ HUGE_MODE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", HUGE_MODE_COUNTS.values(), ids=HUGE_MODE_COUNTS.keys())
-@pytest.mark.parametrize("field", ["n_A", "n_B"])
+#: Every document field with each huge value, but for an hbar of 300 nines: that is
+#: the float 1e300, a valid hbar, and the covariance's verdict decides the document.
+HUGE_FIELD_VALUES = {
+    f"{field}-{name}": (field, value)
+    for field in ("n_A", "n_B", "hbar", "ordering", "sigma")
+    for name, value in HUGE_MODE_COUNTS.items()
+    if (field, name) != ("hbar", "300")
+}
+
+
+@pytest.mark.parametrize("field, value", HUGE_FIELD_VALUES.values(), ids=HUGE_FIELD_VALUES.keys())
 def test_huge_mode_count_exits_2_with_one_short_line(tmp_path, capsys, field, value):
-    # the message is worded from the value's type and sign, never from the value
-    text = json.dumps({"n_A": 1, "n_B": 1, "sigma": IDENTITY, field: 0})
-    text = text.replace(f'"{field}": 0', f'"{field}": {value}')
+    # the message is worded from the value's type, sign or shape, never from the value
+    doc = {"n_A": 1, "n_B": 1, "sigma": IDENTITY}
+    if field == "sigma":
+        # off the diagonal: a huge diagonal entry would make a valid state
+        doc["sigma"] = [row[:] for row in IDENTITY]
+        doc["sigma"][0][1] = "HUGE"
+    else:
+        doc[field] = "HUGE"
+    text = json.dumps(doc).replace('"HUGE"', value)
     code, out, err = run_without_warnings(capsys, "validate", write_doc(tmp_path, "doc.json", text))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and len(err.encode()) < 200
@@ -861,15 +876,15 @@ def _count_factorizations(monkeypatch) -> dict:
     "command, expected",
     [
         ("validate", {"eigh": 1, "eigvalsh": 1, "svd": 1}),
-        # the input's eigh; disentangle's 8; _ppt's 2; the re-verified sigma_U and witness 4
-        ("disentangle", {"eigh": 3, "eigvalsh": 8, "svd": 4}),
+        # the input's eigh; disentangle's 8; the re-verified sigma_U and witness 4
+        ("disentangle", {"eigh": 3, "eigvalsh": 7, "svd": 3}),
         ("ppt", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
         (None, {"eigh": 1, "eigvalsh": 4, "svd": 3}),
     ],
     ids=["validate", "disentangle", "ppt", "disentangle-in-process"],
 )
 def test_factorization_budget(tmp_path, capsys, monkeypatch, command, expected):
-    # statehood is decided once per call: disentangle --json reads ppt without a second gate
+    # statehood is decided once per call, and disentangle --json runs no PPT test
     cov = gaussep.random_covariance(ModePartition(2, 2), seed=5)
     doc = render_input_document(cov)
     path = write_doc(tmp_path, "doc.json", doc)
