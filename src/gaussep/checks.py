@@ -21,8 +21,8 @@ HUGE = float(np.finfo(float).max)  #: Largest float64; an input's norm must stay
 DEFAULT_TOL = 1e-10  #: Default relative tolerance of every pass/fail gate (``--tol``).
 SYMMETRY_TOL = 1e-9  #: Largest ``relative_asymmetry`` of an input accepted as symmetric.
 INGEST_WARN_TOL = 1e-12  #: A document's asymmetry above this is repaired with a warning.
-PAIR_TOL = 1e-8  #: P's mirrored eigenvalues must multiply to 1 within 10x this (reciprocity).
-ROUNDTRIP_TOL = 1e-12  #: Relative match of one float computed twice: hbar, a re-checked margin.
+PAIR_TOL = 1e-7  #: P's mirrored eigenvalues must multiply to 1 within this (reciprocity).
+ROUNDTRIP_TOL = 1e-12  #: Relative match of one float computed twice: a witness's hbar and Sigma's.
 SPECTRUM_PAIR_TOL = 1e-6  #: Relative gap allowed between the two singular values of K per nu_k.
 FRAME_GROUP_TOL = 1e-3  #: nu_k within this*nu_max share a frame; SVD mixes planes g apart by eps*nu_max/g.
 UNIT_BAND = 8.0  #: Unit band UNIT_BAND*n*EPS*kappa(P): exact units of P spread <= 2.6 eps kappa.

@@ -19,11 +19,11 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_TOL, ROUNDTRIP_TOL, VerificationError
+from .checks import DEFAULT_TOL, VerificationError
 from .documents import DocumentError, InputDocument, parse_input_document, render_input_document
-from .phase_space import ModePartition, Ordering, is_orthosymplectic, is_symplectic, symplectic_form
-from .separability import SeparabilityWitness, disentangle, ppt_test, werner_wolf_check
-from .spectral import CovarianceMatrix, QuantumConditionError, _quantum_condition, williamson
+from .phase_space import ModePartition, Ordering, is_orthosymplectic, symplectic_form
+from .separability import disentangle, ppt_test
+from .spectral import QuantumConditionError, _quantum_condition, williamson
 from .states import random_covariance
 
 EXIT_OK = 0
@@ -97,28 +97,14 @@ def _print_report(report: dict, args) -> None:
 
 
 def _reverify_report(report: dict) -> None:
-    """Re-check every matrix claim in a report before it leaves the process."""
-    tol = report["tolerance"]
-    if report["command"] == "disentangle":
-        hbar = report["hbar"]
-        partition = ModePartition(report["n_A"], report["n_B"])
-        U = np.array(report["U"], dtype=float)
-        if not is_orthosymplectic(U, tol).passed:
-            raise VerificationError("serialized rotation fails the orthosymplectic check")
-        cov = CovarianceMatrix(np.array(report["sigma_U"], dtype=float), partition, hbar)
-        witness = SeparabilityWitness(
-            np.array(report["sigma_A"], dtype=float),
-            np.array(report["sigma_B"], dtype=float),
-            hbar,
-        )
-        ww = werner_wolf_check(cov, witness, tol)
-        stored = report["werner_wolf"]
-        if not ww.passed or abs(ww.margin - stored["margin"]) > ROUNDTRIP_TOL * stored["scale"]:
-            raise VerificationError("serialized witness fails re-verification")
-    elif report["command"] == "williamson":
-        S = np.array(report["S"], dtype=float)
-        if not is_symplectic(S, tol).passed:
-            raise VerificationError("serialized Williamson factor is not symplectic")
+    """Check the printed ``U`` by the group's definition: orthogonal and symplectic at ``tol``.
+
+    Every other printed number is the one its stage gated; the pipeline gates the
+    ``n x n`` unitary ``u``, so only this real ``2n x 2n`` form is checked here.
+    """
+    U = np.array(report["U"], dtype=float)
+    if not is_orthosymplectic(U, report["tolerance"]).passed:
+        raise VerificationError("serialized rotation fails the orthosymplectic check")
 
 
 def _fail_not_a_state(out: dict, exc: QuantumConditionError, args) -> int:
@@ -186,7 +172,6 @@ def cmd_williamson(args) -> int:
     out["symplectic_eigenvalues"] = form.nu.tolist()
     out["S"] = form.S.tolist()
     out["residuals"] = {k: float(v) for k, v in form.residuals.items()}
-    _reverify_report(out)
     _print_report(out, args)
     return EXIT_OK
 

@@ -132,7 +132,7 @@ def ortho_diagonalize(P: np.ndarray, tol: float = DEFAULT_TOL) -> RotationDiagon
 
     Steps: (i) eigenvalues w of P ascending, with eigenvectors; (ii) w[n + i]
     pairs with w[n - 1 - i], and their product must be 1 within
-    ``10 * PAIR_TOL``; (iii) the middle eigenvalues that roundoff
+    ``PAIR_TOL``; (iii) the middle eigenvalues that roundoff
     (``UNIT_BAND`` n eps kappa(P)) cannot tell from 1 form the unit class,
     split into planes by the complex eigenvectors of J restricted to it, one
     vector v per plane with lambda = 1; every larger eigenvalue keeps its
@@ -181,7 +181,7 @@ def _rotation_from_eigensystem(
     wf = w.tolist()
     # w ascends, so w[n + i] and w[n - 1 - i] are reciprocal partners
     defect = max(abs(wf[n + i] * wf[n - 1 - i] - 1.0) for i in range(n))
-    if defect > 10.0 * PAIR_TOL:
+    if defect > PAIR_TOL:
         raise PairingError(
             f"eigenvalues are not reciprocal: a pair's product is off 1 by {defect:.3e}"
         )

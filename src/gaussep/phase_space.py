@@ -44,6 +44,12 @@ class ModePartition:
     n_b: int
 
     def __post_init__(self):
+        for name in ("n_a", "n_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                # worded from the type: echoing a huge value would make a huge message
+                raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+            object.__setattr__(self, name, int(value))
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(
                 f"both parts of a bipartition need at least one mode, "

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -377,6 +378,22 @@ def test_internal_verification_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "disentangle", vacuum_doc(tmp_path))
     assert code == 3
     assert "internal verification" in err
+
+
+def test_corrupted_rotation_is_refused_before_printing(tmp_path, capsys, monkeypatch):
+    import gaussep.cli as cli_mod
+
+    def perturbed(cov, tol):
+        result = gaussep.disentangle(cov, tol)
+        U = result.U.copy()
+        U[0, 1] += 1e-6
+        return dataclasses.replace(result, U=U)
+
+    monkeypatch.setattr(cli_mod, "disentangle", perturbed)
+    code, out, err = run(capsys, "disentangle", tmsv_doc(tmp_path), "--json")
+    assert code == 3
+    assert "serialized rotation fails the orthosymplectic check" in err
+    assert out == ""
 
 
 def test_console_entry_point_subprocess(tmp_path):
@@ -876,12 +893,13 @@ def _count_factorizations(monkeypatch) -> dict:
     "command, expected",
     [
         ("validate", {"eigh": 1, "eigvalsh": 1, "svd": 1}),
-        # the input's eigh; disentangle's 8; the re-verified sigma_U and witness 4
-        ("disentangle", {"eigh": 3, "eigvalsh": 7, "svd": 3}),
+        # the input's eigh and disentangle's 8; the printed U is checked without a factorization
+        ("disentangle", {"eigh": 2, "eigvalsh": 4, "svd": 3}),
         ("ppt", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
+        ("williamson", {"eigh": 5, "svd": 1}),
         (None, {"eigh": 1, "eigvalsh": 4, "svd": 3}),
     ],
-    ids=["validate", "disentangle", "ppt", "disentangle-in-process"],
+    ids=["validate", "disentangle", "ppt", "williamson", "disentangle-in-process"],
 )
 def test_factorization_budget(tmp_path, capsys, monkeypatch, command, expected):
     # statehood is decided once per call, and disentangle --json runs no PPT test

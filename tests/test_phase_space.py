@@ -22,6 +22,19 @@ def test_partition_requires_both_parts():
         ModePartition(1, 0)
     with pytest.raises(ValueError):
         ModePartition(0, 3)
+    # mode counts are integers; the message names the field and the type, not the value
+    for n_a, n_b, message in (
+        (2.0, 1, "n_a must be an integer, got float"),
+        (1.5, 1, "n_a must be an integer, got float"),
+        ("1", 1, "n_a must be an integer, got str"),
+        (True, 1, "n_a must be an integer, got bool"),
+        (1, np.float64(2.0), "n_b must be an integer, got float64"),
+        (1, None, "n_b must be an integer, got NoneType"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModePartition(n_a, n_b)
+    partition = ModePartition(np.int64(2), np.int32(1))
+    assert partition == ModePartition(2, 1) and type(partition.n_a) is int
 
 
 def test_single_mode_block():

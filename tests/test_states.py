@@ -213,6 +213,12 @@ class TestRandomFixtures:
         with pytest.raises(ValueError, match="overflows float64: .* float64 maximum"):
             random_covariance(PART11, seed=0, squeeze_max=squeeze)
 
+    @pytest.mark.parametrize("r", [356.0, -356.0, 1e6])
+    def test_overflowing_tmsv_names_the_float64_limit(self, r):
+        # math.cosh raises OverflowError from r = 356; the caller sees the float64 limit
+        with pytest.raises(ValueError, match="overflows float64: .* float64 maximum"):
+            two_mode_squeezed_vacuum(r)
+
 
 class TestGaussianState:
     def test_rejects_non_quantum_covariance(self):
