@@ -96,14 +96,13 @@ def _print_report(report: dict, args) -> None:
         print(_render_text(report))
 
 
-def _reverify_report(report: dict) -> None:
-    """Check the printed ``U`` by the group's definition: orthogonal and symplectic at ``tol``.
+def _reverify_report(U: np.ndarray, tol: float) -> None:
+    """Check ``U``, whose exact ``tolist`` the report prints, by the group's definition at ``tol``.
 
     Every other printed number is the one its stage gated; the pipeline gates the
     ``n x n`` unitary ``u``, so only this real ``2n x 2n`` form is checked here.
     """
-    U = np.array(report["U"], dtype=float)
-    if not is_orthosymplectic(U, report["tolerance"]).passed:
+    if not is_orthosymplectic(U, tol).passed:
         raise VerificationError("serialized rotation fails the orthosymplectic check")
 
 
@@ -147,7 +146,7 @@ def cmd_disentangle(args) -> int:
     out["werner_wolf"] = asdict(result.werner_wolf)
     out["residuals"] = {k: float(v) for k, v in result.residuals.items()}
     out["verdict"] = "pass"
-    _reverify_report(out)
+    _reverify_report(result.U, args.tol)
     _print_report(out, args)
     return EXIT_OK
 
@@ -177,13 +176,8 @@ def cmd_williamson(args) -> int:
 
 
 def cmd_random(args) -> int:
-    cov = random_covariance(
-        ModePartition(args.n_a, args.n_b),
-        hbar=args.hbar,
-        seed=args.seed,
-        squeeze_max=args.squeeze,
-        mix_max=args.mix,
-    )
+    """A random document at hbar 1, with ``random_covariance``'s default squeezing and mixing."""
+    cov = random_covariance(ModePartition(args.n_a, args.n_b), seed=args.seed)
     print(render_input_document(cov))
     return EXIT_OK
 
@@ -223,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nA", dest="n_a", type=int, required=True, help="modes in part A")
     p.add_argument("--nB", dest="n_b", type=int, required=True, help="modes in part B")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (deterministic output)")
-    p.add_argument("--squeeze", type=float, default=1.0, help="max squeeze parameter")
-    p.add_argument("--mix", type=float, default=1.0, help="max relative thermal excess")
-    p.add_argument("--hbar", type=float, default=1.0, help="hbar stored in the document")
     p.set_defaults(func=cmd_random)
 
     return parser

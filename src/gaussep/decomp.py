@@ -194,7 +194,7 @@ def _rotation_from_eigensystem(
     if k:
         # an orthonormal frame of this J-invariant class that brings J,
         # restricted to it, to 2x2 blocks consists of (v, -Jv) planes
-        planes = _complex_frame(V[:, n - k : n + k], symplectic_form(n))[1]
+        planes = _complex_frame(V[:, n - k : n + k], symplectic_form(n))
         upper = np.hstack([upper, planes[:, 0::2]])
         lam = np.concatenate([lam, np.ones(k)])
     order = np.argsort(-lam, kind="stable")

@@ -112,25 +112,27 @@ def direct_sum(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complex_frame(B: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mu`` descending and ``B Q``, Q orthogonal with ``Q^T C Q = (+)_k mu_k J_1``.
+def _complex_frame(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``B Q``, Q orthogonal with ``Q^T C Q = (+)_k mu_k J_1``, mu_k > 0 descending.
 
     ``C = B^T A B``, antisymmetrized, restricts the form A to the A-invariant
-    span of B's orthonormal columns, where A must be nonsingular.  The
-    Hermitian ``iC`` has eigenvalues +-mu_k; each eigenvector ``a + ib`` for
-    +mu_k gives the columns ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate
-    belongs to -mu_k, so the real and imaginary parts of the positive half are
-    orthonormal after scaling, degenerate mu_k included.  ``J_1`` is
-    ``symplectic_form(1)``.
+    span of B's orthonormal columns, where A must be nonsingular.  One plane
+    has only its orientation free: Q swaps B's columns when ``C[0, 1] <
+    C[1, 0]``, and is the identity otherwise.  For more planes, the Hermitian
+    ``iC`` has eigenvalues +-mu_k; each eigenvector ``a + ib`` for +mu_k gives
+    the columns ``(sqrt(2) a, -sqrt(2) b)``.  Its conjugate belongs to -mu_k,
+    so the real and imaginary parts of the positive half are orthonormal after
+    scaling, degenerate mu_k included.  ``J_1`` is ``symplectic_form(1)``.
     """
     C = B.T @ A @ B
     m = C.shape[0] // 2
-    w, Z = np.linalg.eigh(1j * (0.5 * (C - C.T)))
-    Z = np.sqrt(2.0) * Z[:, m:][:, ::-1]
+    if m == 1:
+        return B[:, ::-1] if C[0, 1] < C[1, 0] else B
+    Z = np.sqrt(2.0) * np.linalg.eigh(1j * (0.5 * (C - C.T)))[1][:, m:][:, ::-1]
     Q = np.empty(C.shape)
     Q[:, 0::2] = Z.real
     Q[:, 1::2] = -Z.imag
-    return w[m:][::-1], B @ Q
+    return B @ Q
 
 
 def _gram_operand(matrix: np.ndarray) -> tuple[np.ndarray, float, float]:

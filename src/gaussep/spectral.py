@@ -194,10 +194,12 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
 
     Algorithm: the SVD ``K = X diag(s) Y^T`` of ``_spectral_core``, with
     ``K = Sigma^(1/2) J Sigma^(1/2)``, gives nu_k (descending, the spectrum
-    ``symplectic_eigenvalues`` reports) and Y's K-invariant column pairs.  Runs
-    of nu_k closer than ``FRAME_GROUP_TOL`` nu_max share one span, framed by
-    ``_complex_frame`` so that ``Q^T K Q = (+)_k mu_k J_1`` with Q orthogonal,
-    and ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both defining residuals are
+    ``symplectic_eigenvalues`` reports) and Y's K-invariant column pairs.
+    ``_complex_frame`` brings each span to ``Q^T K Q = (+)_k mu_k J_1`` with Q
+    orthogonal: an isolated nu_k's plane is its own column pair, oriented by
+    a sign test, and only runs of nu_k closer than ``FRAME_GROUP_TOL`` nu_max,
+    which share one span, are solved for.  Then
+    ``S = Sigma^(1/2) Q diag(nu_k^(-1/2))``.  Both defining residuals are
     verified before returning.
 
     Raises
@@ -213,7 +215,7 @@ def williamson(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> WilliamsonFor
 
 
 def _williamson(cov: CovarianceMatrix, tol: float, core: tuple) -> WilliamsonForm:
-    """``williamson`` from a ``_spectral_core`` of ``cov`` against J already computed."""
+    """``williamson`` from a ``_spectral_core`` against J; an isolated nu_k's frame is free."""
     root, K, s, Yt = core
     nu = _paired_spectrum(s)
     if nu[-1] <= 0.0:
@@ -224,7 +226,7 @@ def _williamson(cov: CovarianceMatrix, tol: float, core: tuple) -> WilliamsonFor
     Q = np.empty_like(K)
     starts = [0] + [k for k in range(1, cov.n) if nu[k - 1] - nu[k] >= FRAME_GROUP_TOL * nu[0]]
     for a, b in zip(starts, starts[1:] + [cov.n]):
-        Q[:, 2 * a : 2 * b] = _complex_frame(Yt[2 * a : 2 * b].T, K)[1]
+        Q[:, 2 * a : 2 * b] = _complex_frame(Yt[2 * a : 2 * b].T, K)
     S = (root @ Q) / np.sqrt(np.repeat(nu, 2))[None, :]
 
     D = np.diag(np.repeat(nu, 2))

@@ -207,14 +207,17 @@ def two_mode_squeezed_vacuum(r: float, hbar: float = 1.0) -> CovarianceMatrix:
     """Covariance matrix of the two-mode squeezed vacuum with squeezing r.
 
     The canonical pure entangled Gaussian state; used as the fixture family
-    of the tests and demo scripts.  Raises ValueError naming the float64
-    limit when cosh(2r) overflows.
+    of the tests and demo scripts.  Raises ValueError naming r when it is
+    NaN, and naming the float64 limit when cosh(2r) overflows.
     """
+    if math.isnan(r):
+        raise ValueError(f"r must be a number, got {r}")
     try:
-        c = math.cosh(2.0 * r)
-        s = math.sinh(2.0 * r)
-    except OverflowError:
-        raise _overflow(f"the two-mode squeezed vacuum for r {r:g}") from None
+        c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:  # past r = 355; an infinite 2r returns inf instead
+        c = math.inf
+    if c == math.inf:
+        raise _overflow(f"the two-mode squeezed vacuum for r {r:g}")
     sigma = 0.5 * hbar * np.array(
         [
             [c, 0.0, s, 0.0],

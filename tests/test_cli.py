@@ -327,22 +327,6 @@ class TestRandomAndConvert:
         code, _, _ = run(capsys, "validate", path)
         assert code == 0
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--squeeze", v) for v in ("nan", "inf", "400", "720")]
-        + [("--mix", v) for v in ("nan", "inf")],
-    )
-    def test_random_bad_draw_bound_exits_2(self, capsys, flag, value):
-        code, out, err = run_without_warnings(
-            capsys, "random", "--nA", "1", "--nB", "1", "--seed", "0", flag, value
-        )
-        assert code == 2 and out == ""
-        name = {"--squeeze": "squeeze_max", "--mix": "mix_max"}[flag]
-        if value in ("nan", "inf"):
-            assert err.startswith(f"gaussep: {name} must be finite and nonnegative")
-        else:
-            assert "overflows float64" in err and "float64 maximum" in err
-        assert len(err.splitlines()) == 1
-
     def test_random_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "random", "--nA", "2", "--nB", "1", "--seed", "3")
         _, second, _ = run(capsys, "random", "--nA", "2", "--nB", "1", "--seed", "3")
@@ -423,13 +407,14 @@ from gaussep import (
     williamson,
 )
 from gaussep.cli import main
+from gaussep.documents import render_input_document
 
 work = sys.argv[1]
 doc = os.path.join(work, "doc.json")
-with open(doc, "w") as handle, contextlib.redirect_stdout(handle):
+with open(doc, "w") as handle:
     # squeezed, but mixed enough to pass the PPT test, so that every command exits 0
-    argv = ["random", "--nA", "2", "--nB", "2", "--seed", "3", "--squeeze", "0.3", "--mix", "2"]
-    assert main(argv) == 0
+    cov = random_covariance(ModePartition(2, 2), seed=3, squeeze_max=0.3, mix_max=2.0)
+    handle.write(render_input_document(cov))
 for argv in (["validate", doc], ["disentangle", doc, "--json"], ["ppt", doc], ["williamson", doc]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -530,6 +515,21 @@ def test_tmsv_beyond_float64_names_the_limit(tmp_path, capsys):
     assert code == 2 and "not positive definite" in err and "float64" not in err
 
 
+@pytest.mark.parametrize(
+    "r", [1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.5] + [float(r) for r in range(1, 13)], ids=repr
+)
+def test_tmsv_from_near_unit_to_past_float64_never_exits_3(tmp_path, capsys, r):
+    # the stored matrix, not the constructor's: from r = 10 its float64 rounding is singular
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    sigma = 0.5 * np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]])
+    path = write_doc(tmp_path, "tmsv.json", {"n_A": 1, "n_B": 1, "sigma": sigma.tolist()})
+    code, out, err = run(capsys, "disentangle", path, "--json")
+    if r <= 9:
+        assert code == 0 and json.loads(out)["verdict"] == "pass", err
+    else:
+        assert code == 2 and out == "" and "the float64 matrix is the limit" in err
+
+
 def test_rotated_matrix_beyond_float64_names_sigma_U(tmp_path, capsys):
     # the constructor accepts this input, and the rotated sigma_U is at the limit
     sigma = raw_random_sigma(ModePartition(2, 2), seed=1, squeeze_max=6.0)
@@ -582,12 +582,6 @@ def test_hbar_override_is_gated_by_name(tmp_path, capsys, command, hbar):
     # the gate's own message alone, with no sigma prefix
     assert err.startswith("gaussep: hbar must be finite and positive")
     assert len(err.splitlines()) == 1
-
-
-def test_random_hbar_is_gated(capsys):
-    code, out, err = run(capsys, "random", "--nA", "1", "--nB", "1", "--hbar", "inf")
-    assert code == 2 and out == ""
-    assert "hbar must be finite and positive" in err
 
 
 @pytest.mark.parametrize("command", [["validate"], ["disentangle"]])
@@ -839,7 +833,7 @@ def test_cli_surface_is_pinned():
     judging = {"file", "--tol", "--json"}
     expected = {
         "validate": judging, "disentangle": judging, "ppt": judging, "williamson": judging,
-        "random": {"--nA", "--nB", "--seed", "--squeeze", "--mix", "--hbar"},
+        "random": {"--nA", "--nB", "--seed"},
     }
     assert set(subcommands) == set(expected)
     for name, sub in subcommands.items():
@@ -862,8 +856,11 @@ def test_cli_surface_is_pinned():
         (["convert", "doc.json", "--to", "blocked"], "invalid choice"),
         (["validate", "doc.json", "--hbar", "2"], "unrecognized arguments"),
         (["disentangle", "doc.json", "--text"], "unrecognized arguments"),
+        (["random", "--nA", "1", "--nB", "1", "--squeeze", "2"], "unrecognized arguments"),
+        (["random", "--nA", "1", "--nB", "1", "--mix", "2"], "unrecognized arguments"),
+        (["random", "--nA", "1", "--nB", "1", "--hbar", "2"], "unrecognized arguments"),
     ],
-    ids=["convert", "hbar", "text"],
+    ids=["convert", "hbar", "text", "random-squeeze", "random-mix", "random-hbar"],
 )
 def test_removed_options_exit_2(capsys, argv, expected):
     with pytest.raises(SystemExit) as exc:
@@ -896,7 +893,8 @@ def _count_factorizations(monkeypatch) -> dict:
         # the input's eigh and disentangle's 8; the printed U is checked without a factorization
         ("disentangle", {"eigh": 2, "eigvalsh": 4, "svd": 3}),
         ("ppt", {"eigh": 1, "eigvalsh": 2, "svd": 2}),
-        ("williamson", {"eigh": 5, "svd": 1}),
+        # an isolated symplectic eigenvalue's plane is oriented without a factorization
+        ("williamson", {"eigh": 1, "svd": 1}),
         (None, {"eigh": 1, "eigvalsh": 4, "svd": 3}),
     ],
     ids=["validate", "disentangle", "ppt", "williamson", "disentangle-in-process"],
@@ -912,4 +910,24 @@ def test_factorization_budget(tmp_path, capsys, monkeypatch, command, expected):
     else:
         code, _, _ = run(capsys, command, path, "--json")
         assert code in (0, 1)
+    assert {name: k for name, k in counts.items() if k} == expected
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+@pytest.mark.parametrize(
+    "routine, expected",
+    [
+        (gaussep.williamson, {"svd": 1}),
+        # the statehood gate's eigvalsh, the core's SVD, the inclusion test's solve and eigvalsh
+        (gaussep.admissible_S, {"eigvalsh": 2, "svd": 1, "solve": 1}),
+    ],
+    ids=["williamson", "admissible_S"],
+)
+def test_separated_spectra_frame_without_an_eigensolver(monkeypatch, routine, expected, n):
+    # nu_k = (k + 1) / 2 are far apart, so every plane is oriented by a sign test
+    S = gaussep.random_symplectic(n, np.random.default_rng(n))
+    sigma = (S * np.repeat(0.5 * np.arange(2, n + 2), 2)) @ S.T
+    cov = CovarianceMatrix(0.5 * (sigma + sigma.T), ModePartition(1, n - 1))
+    counts = _count_factorizations(monkeypatch)
+    routine(cov)
     assert {name: k for name, k in counts.items() if k} == expected

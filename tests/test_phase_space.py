@@ -10,9 +10,14 @@ from gaussep import (
     direct_sum,
     is_orthosymplectic,
     is_symplectic,
+    random_covariance,
+    random_orthosymplectic,
     random_symplectic,
     symplectic_form,
 )
+from gaussep.checks import fro
+from gaussep.phase_space import _complex_frame
+from gaussep.spectral import _spectral_core
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -178,3 +183,26 @@ def test_is_orthosymplectic_examples():
 def test_check_report_margin_contract():
     report = is_symplectic(np.diag([2.0, 2.0]), tol=1e-10)
     assert report.passed == (report.margin >= -report.tol * report.scale)
+
+
+def _one_plane(source):
+    """``(A, B)``: B's orthonormal columns span one A-invariant plane."""
+    J = symplectic_form(3)
+    if source == "J":
+        return J, random_orthosymplectic(3, np.random.default_rng(0))[:, 2:4]
+    _, K, _, Yt = _spectral_core(random_covariance(ModePartition(1, 2), seed=0), J)
+    return K, Yt[2:4].T
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-is", "swapped"])
+@pytest.mark.parametrize("source", ["J", "K"])
+def test_one_plane_frame_is_its_own_columns_oriented(source, swap):
+    A, B = _one_plane(source)
+    if swap:
+        B = B[:, ::-1]
+    frame = _complex_frame(B, A)
+    # a plane's only freedom is its orientation: the frame is B, or B with its columns swapped
+    assert np.array_equal(frame, B) or np.array_equal(frame, B[:, ::-1])
+    C = B.T @ A @ B
+    mu = abs(0.5 * (C[0, 1] - C[1, 0]))
+    assert np.max(np.abs(frame.T @ A @ frame - mu * J2)) <= 1e-14 * fro(A)

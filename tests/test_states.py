@@ -213,11 +213,16 @@ class TestRandomFixtures:
         with pytest.raises(ValueError, match="overflows float64: .* float64 maximum"):
             random_covariance(PART11, seed=0, squeeze_max=squeeze)
 
-    @pytest.mark.parametrize("r", [356.0, -356.0, 1e6])
+    @pytest.mark.parametrize("r", [356.0, -356.0, 1e6, 1e308, math.inf, -math.inf])
     def test_overflowing_tmsv_names_the_float64_limit(self, r):
-        # math.cosh raises OverflowError from r = 356; the caller sees the float64 limit
+        # math.cosh raises OverflowError from r = 356 but returns inf for an infinite 2r;
+        # either way the caller sees the float64 limit
         with pytest.raises(ValueError, match="overflows float64: .* float64 maximum"):
             two_mode_squeezed_vacuum(r)
+
+    def test_nan_tmsv_names_r(self):
+        with pytest.raises(ValueError, match="^r must be a number, got nan"):
+            two_mode_squeezed_vacuum(math.nan)
 
 
 class TestGaussianState:
